@@ -17,8 +17,9 @@
 #include "obs/trace_sink.h"
 #include "core/accelerator.h"
 #include "core/analysis.h"
-#include "core/intern.h"
+#include "core/id_space.h"
 #include "core/invalidation_table.h"
+#include "http/cache_key.h"
 #include "http/document_store.h"
 #include "http/proxy_cache.h"
 #include "net/wire.h"
@@ -37,15 +38,17 @@ namespace {
 // --- invalidation table -----------------------------------------------------------
 
 void BM_InvalidationTableRegister(benchmark::State& state) {
-  core::InvalidationTable table(core::LeaseConfig{});
-  std::vector<std::string> clients;
+  core::IdSpace ids;
+  core::InvalidationTable table(core::LeaseConfig{}, ids);
+  const core::DocId doc = ids.docs.Intern("/doc");
+  std::vector<core::SiteId> clients;
   for (int i = 0; i < 1024; ++i) {
-    clients.push_back("10.0." + std::to_string(i / 256) + "." +
-                      std::to_string(i % 256));
+    clients.push_back(ids.sites.Intern("10.0." + std::to_string(i / 256) +
+                                       "." + std::to_string(i % 256)));
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    table.Register("/doc", clients[i++ & 1023], net::MessageType::kGet, 0);
+    table.Register(doc, clients[i++ & 1023], net::MessageType::kGet, 0);
   }
 }
 BENCHMARK(BM_InvalidationTableRegister);
@@ -54,13 +57,15 @@ void BM_InvalidationTableTakeSites(benchmark::State& state) {
   const auto list_length = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    core::InvalidationTable table(core::LeaseConfig{});
+    core::IdSpace ids;
+    core::InvalidationTable table(core::LeaseConfig{}, ids);
+    const core::DocId doc = ids.docs.Intern("/doc");
     for (int i = 0; i < list_length; ++i) {
-      table.Register("/doc", "client-" + std::to_string(i),
+      table.Register(doc, ids.sites.Intern("client-" + std::to_string(i)),
                      net::MessageType::kGet, 0);
     }
     state.ResumeTiming();
-    benchmark::DoNotOptimize(table.TakeSitesForInvalidation("/doc", 0));
+    benchmark::DoNotOptimize(table.TakeSitesWithLeases(doc, 0));
   }
   state.SetItemsProcessed(state.iterations() * list_length);
 }
@@ -68,11 +73,16 @@ BENCHMARK(BM_InvalidationTableTakeSites)->Arg(16)->Arg(256)->Arg(4096);
 
 // --- proxy cache -------------------------------------------------------------------
 
+// Client "c"'s copy of document i, keyed as the string-facing callers key it.
+std::string MicroKey(std::uint64_t i) {
+  return http::ComposeCacheKey("/doc" + std::to_string(i), "c");
+}
+
 http::CacheEntry MicroEntry(int i, Time ttl) {
   http::CacheEntry entry;
-  entry.key = "/doc" + std::to_string(i) + "@c";
   entry.url = "/doc" + std::to_string(i);
   entry.owner = "c";
+  entry.key = MicroKey(i);
   entry.size_bytes = 4096;
   entry.version = 1;
   entry.ttl_expires = ttl;
@@ -84,8 +94,7 @@ void BM_ProxyCacheLookupHit(benchmark::State& state) {
   for (int i = 0; i < 4096; ++i) cache.Insert(MicroEntry(i, 1 << 20), 0);
   util::Rng rng(1);
   for (auto _ : state) {
-    const std::string key =
-        "/doc" + std::to_string(rng.NextBelow(4096)) + "@c";
+    const std::string key = MicroKey(rng.NextBelow(4096));
     benchmark::DoNotOptimize(cache.Lookup(key));
   }
 }
@@ -247,7 +256,7 @@ class LegacyInlinedCache {
 
 LegacyInlinedCache::Entry LegacyEntry(int i, Time ttl) {
   LegacyInlinedCache::Entry entry;
-  entry.key = "/doc" + std::to_string(i) + "@c";
+  entry.key = MicroKey(i);
   entry.url = "/doc" + std::to_string(i);
   entry.owner = "c";
   entry.size_bytes = 4096;
@@ -290,8 +299,7 @@ void BM_CacheLookupHit(benchmark::State& state) {
   for (int i = 0; i < 4096; ++i) cache.Insert(MicroEntry(i, 1 << 20), 0);
   util::Rng rng(1);
   for (auto _ : state) {
-    const std::string key =
-        "/doc" + std::to_string(rng.NextBelow(4096)) + "@c";
+    const std::string key = MicroKey(rng.NextBelow(4096));
     benchmark::DoNotOptimize(cache.Lookup(key));
   }
 }
@@ -302,8 +310,7 @@ void BM_CacheLookupHitInlined(benchmark::State& state) {
   for (int i = 0; i < 4096; ++i) cache.Insert(LegacyEntry(i, 1 << 20), 0);
   util::Rng rng(1);
   for (auto _ : state) {
-    const std::string key =
-        "/doc" + std::to_string(rng.NextBelow(4096)) + "@c";
+    const std::string key = MicroKey(rng.NextBelow(4096));
     benchmark::DoNotOptimize(cache.Lookup(key));
   }
 }
@@ -585,8 +592,7 @@ StreamTiming TimeKernelLookups() {
   StreamTiming timing;
   const auto start = GateClock::now();
   for (std::size_t i = 0; i < kGateLookupOps; ++i) {
-    const std::string key =
-        "/doc" + std::to_string(rng.NextBelow(4096)) + "@c";
+    const std::string key = MicroKey(rng.NextBelow(4096));
     if (cache.Lookup(key) != nullptr) ++timing.hits;
   }
   timing.ns_per_op =
@@ -601,8 +607,7 @@ StreamTiming TimeInlinedLookups() {
   StreamTiming timing;
   const auto start = GateClock::now();
   for (std::size_t i = 0; i < kGateLookupOps; ++i) {
-    const std::string key =
-        "/doc" + std::to_string(rng.NextBelow(4096)) + "@c";
+    const std::string key = MicroKey(rng.NextBelow(4096));
     if (cache.Lookup(key) != nullptr) ++timing.hits;
   }
   timing.ns_per_op =

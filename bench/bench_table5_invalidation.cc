@@ -111,7 +111,8 @@ ScaleResult RunScale(std::size_t n_sites) {
   core::LeaseConfig lease;
   lease.mode = core::LeaseMode::kFixed;
   lease.duration = kHour;
-  core::InvalidationTable table(lease);
+  core::IdSpace ids;
+  core::InvalidationTable table(lease, ids);
   ScanBaseline baseline;
 
   // One unique site per entry, ~1000 sites per URL, expiries spread

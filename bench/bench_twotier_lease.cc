@@ -48,8 +48,9 @@ void RunTwoTierScaleSweep() {
   std::string json = "{\"repeat_viewer_fraction\": 0.25, \"scales\": [";
   bool first = true;
   for (const std::size_t n_sites : kScales) {
-    core::InvalidationTable two_tier_table(two_tier);
-    core::InvalidationTable simple_table{core::LeaseConfig{}};  // kNone
+    core::IdSpace ids;
+    core::InvalidationTable two_tier_table(two_tier, ids);
+    core::InvalidationTable simple_table(core::LeaseConfig{}, ids);  // kNone
     const std::size_t n_urls = n_sites < 1000 ? 1 : n_sites / 1000;
     std::size_t repeat_viewers = 0;
     std::string url;
@@ -62,12 +63,14 @@ void RunTwoTierScaleSweep() {
       const bool repeat = i % 4 == 0;
       const auto type = repeat ? net::MessageType::kIfModifiedSince
                                : net::MessageType::kGet;
-      two_tier_table.Register(url, site, type, /*now=*/0);
-      simple_table.Register(url, site, type, /*now=*/0);
+      const core::DocId doc = ids.docs.Intern(url);
+      const core::SiteId site_id = ids.sites.Intern(site);
+      two_tier_table.Register(doc, site_id, type, /*now=*/0);
+      simple_table.Register(doc, site_id, type, /*now=*/0);
       if (repeat) {
         // The repeat viewer comes back: its entry refreshes in place (one
         // entry, one wheel slot) instead of re-registering.
-        two_tier_table.Register(url, site, type, kMinute);
+        two_tier_table.Register(doc, site_id, type, kMinute);
         ++repeat_viewers;
       }
     }

@@ -8,94 +8,127 @@
 
 namespace webcc::core {
 
-std::optional<net::Reply> Accelerator::HandleRequest(
-    const net::Request& request, Time now) {
-  std::optional<net::Reply> reply = origin_.Handle(request, now);
+std::optional<net::DocReply> Accelerator::HandleRequest(
+    const net::DocRequest& request, Time now) {
+  std::optional<net::DocReply> reply = origin_.Handle(request, now);
   if (!reply.has_value()) return reply;
   ++stats_.requests;
 
   // First sighting of a document pins the version baseline so a later
   // notify can tell "changed since last invalidation" from "never seen".
-  const http::Document* doc = store_->Find(request.url);
-  WEBCC_DCHECK(doc != nullptr);
-  const bool first_sighting =
-      last_seen_version_.try_emplace(request.url, doc->version).second;
+  const std::uint64_t version = reply->version;
+  std::uint64_t& baseline = BaselineOf(request.doc);
+  const bool first_sighting = baseline == 0;
+  if (first_sighting) baseline = version;
   if (journal_enabled_) {
     // Append-before-act: the journal records the registration before the
     // table mutates, so a torn tail can only describe an entry that was
     // never created. GrantLease is pure, so computing it here and again
     // inside Register cannot disagree.
-    if (first_sighting) journal_.AppendVersion(request.url, doc->version);
+    const std::string& url = ids_->DocName(request.doc);
+    if (first_sighting) journal_.AppendVersion(url, version);
     const Time lease = GrantLease(table_.lease_config(), request.type, now);
     if (LeaseActive(lease, now)) {
-      journal_.AppendRegister(request.url, request.client_id, lease);
+      journal_.AppendRegister(url, ids_->SiteName(request.site), lease);
     }
   }
 
   // Pessimistic registration: any requester might cache the document.
   reply->lease_until =
-      table_.Register(request.url, request.client_id, request.type, now);
+      table_.Register(request.doc, request.site, request.type, now);
   if (reply->lease_until != net::kNoLease) {
     obs::Emit(trace_sink_, {.type = obs::EventType::kLeaseGrant,
                             .at = now,
-                            .url = request.url,
-                            .site = request.client_id,
+                            .url = ids_->DocName(request.doc),
+                            .site = ids_->SiteName(request.site),
                             .detail = reply->lease_until});
   }
-  registry_.RecordSite(request.client_id);
+  registry_.RecordSite(request.site);
   return reply;
+}
+
+std::optional<net::Reply> Accelerator::HandleRequest(
+    const net::Request& request, Time now) {
+  const DocId doc = ids_->docs.Find(request.url);
+  // An unknown document is refused before its requester is registered.
+  if (store_->Find(doc) == nullptr) return std::nullopt;
+  net::DocRequest by_id;
+  by_id.type = request.type;
+  by_id.doc = doc;
+  by_id.site = ids_->sites.Intern(request.client_id);
+  by_id.if_modified_since = request.if_modified_since;
+  return net::ToWire(*HandleRequest(by_id, now), *ids_);
+}
+
+std::vector<net::DocInvalidation> Accelerator::HandleNotify(DocId doc,
+                                                            Time now) {
+  ++stats_.notifies;
+  obs::Emit(trace_sink_, {.type = obs::EventType::kNotify,
+                          .at = now,
+                          .url = ids_->DocName(doc)});
+  return CheckDocument(doc, now);
 }
 
 std::vector<net::Invalidation> Accelerator::HandleNotify(
     const net::Notify& notify, Time now) {
+  const DocId doc = ids_->docs.Find(notify.url);
+  if (doc != kNoInternId) return ToWire(HandleNotify(doc, now));
+  // A check-in for a name the server never stored: counted and traced like
+  // any other, with nothing to invalidate.
   ++stats_.notifies;
   obs::Emit(trace_sink_,
             {.type = obs::EventType::kNotify, .at = now, .url = notify.url});
-  return DetectAndInvalidate(notify.url, now);
+  return {};
 }
 
-std::vector<net::Invalidation> Accelerator::CheckDocument(std::string_view url,
-                                                          Time now) {
-  return DetectAndInvalidate(url, now);
-}
-
-std::vector<net::Invalidation> Accelerator::DetectAndInvalidate(
-    std::string_view url, Time now) {
+std::vector<net::Invalidation> Accelerator::ToWire(
+    const std::vector<net::DocInvalidation>& invalidations) const {
   std::vector<net::Invalidation> out;
-  const http::Document* doc = store_->Find(url);
-  if (doc == nullptr) return out;
+  out.reserve(invalidations.size());
+  for (const net::DocInvalidation& inv : invalidations) {
+    out.push_back(net::ToWire(inv, *ids_));
+  }
+  return out;
+}
 
-  auto [it, first_sighting] =
-      last_seen_version_.try_emplace(std::string(url), doc->version);
-  if (first_sighting || doc->version == it->second) {
+std::vector<net::DocInvalidation> Accelerator::CheckDocument(DocId doc,
+                                                             Time now) {
+  std::vector<net::DocInvalidation> out;
+  const http::Document* document = store_->Find(doc);
+  if (document == nullptr) return out;
+
+  std::uint64_t& baseline = BaselineOf(doc);
+  const bool first_sighting = baseline == 0;
+  if (first_sighting || document->version == baseline) {
+    baseline = document->version;
     if (first_sighting && journal_enabled_) {
-      journal_.AppendVersion(url, doc->version);
+      journal_.AppendVersion(ids_->DocName(doc), document->version);
     }
     return out;  // unchanged (or nothing could have cached it yet)
   }
-  it->second = doc->version;
+  baseline = document->version;
   ++stats_.modifications_detected;
   if (journal_enabled_) {
     // Journal the new baseline and the list wipe before taking the list.
-    journal_.AppendVersion(url, doc->version);
-    journal_.AppendInvalidate(url);
+    journal_.AppendVersion(ids_->DocName(doc), document->version);
+    journal_.AppendInvalidate(ids_->DocName(doc));
   }
 
-  std::vector<InvalidationTable::TakenSite> sites =
-      table_.TakeSitesWithLeases(url, now);
+  const std::vector<InvalidationTable::TakenSite> sites =
+      table_.TakeSitesWithLeases(doc, now);
   stats_.list_lengths_at_modification.push_back(sites.size());
   out.reserve(sites.size());
-  for (InvalidationTable::TakenSite& taken : sites) {
-    net::Invalidation inv;
+  for (const InvalidationTable::TakenSite& taken : sites) {
+    net::DocInvalidation inv;
     inv.type = net::MessageType::kInvalidateUrl;
-    inv.url = std::string(url);
-    inv.client_id = std::move(taken.site);
+    inv.doc = doc;
+    inv.site = taken.site;
     inv.lease_until = taken.lease_until;
     obs::Emit(trace_sink_, {.type = obs::EventType::kInvalidateGenerated,
                             .at = now,
-                            .url = inv.url,
-                            .site = inv.client_id});
-    out.push_back(std::move(inv));
+                            .url = ids_->DocName(doc),
+                            .site = ids_->SiteName(taken.site)});
+    out.push_back(inv);
   }
   stats_.invalidations_generated += out.size();
   return out;
@@ -103,19 +136,25 @@ std::vector<net::Invalidation> Accelerator::DetectAndInvalidate(
 
 void Accelerator::Crash() {
   table_.Clear();
-  last_seen_version_.clear();
+  last_seen_version_.assign(last_seen_version_.size(), 0);
   // stats_ intentionally survives: it is the experiment's measurement
   // record, not server state.
 }
 
 std::vector<net::Invalidation> Accelerator::Recover() {
+  return Broadcast(registry_.sites());
+}
+
+std::vector<net::Invalidation> Accelerator::Broadcast(
+    std::vector<SiteId> sites) {
+  SortByName(sites, ids_->sites);
   std::vector<net::Invalidation> out;
-  out.reserve(registry_.sites().size());
-  for (const std::string& site : registry_.sites()) {
+  out.reserve(sites.size());
+  for (const SiteId site : sites) {
     net::Invalidation inv;
     inv.type = net::MessageType::kInvalidateServer;
     inv.server = server_name_;
-    inv.client_id = site;
+    inv.client_id = ids_->SiteName(site);
     inv.recovery = true;
     obs::Emit(trace_sink_, {.type = obs::EventType::kInvalidateServer,
                             .site = inv.client_id,
@@ -150,7 +189,7 @@ Accelerator::RebuildOutcome Accelerator::RebuildFromJournal(Time now) {
         table_.DropList(entry.url);
         break;
       case 'V':
-        last_seen_version_[entry.url] = entry.version;
+        BaselineOf(ids_->docs.Intern(entry.url)) = entry.version;
         break;
       default:
         break;  // Replay never yields other kinds
@@ -161,8 +200,8 @@ Accelerator::RebuildOutcome Accelerator::RebuildFromJournal(Time now) {
   // journal as a snapshot of the restored state (version pins first, then
   // live registrations, both in sorted order for determinism).
   journal_.Clear();
-  for (const std::string& url : JournaledUrls()) {
-    journal_.AppendVersion(url, last_seen_version_.at(url));
+  for (const DocId doc : JournaledDocs()) {
+    journal_.AppendVersion(ids_->DocName(doc), last_seen_version_[doc]);
   }
   std::vector<InvalidationTable::Snapshot> entries = table_.SnapshotEntries();
   outcome.entries_restored = entries.size();
@@ -172,12 +211,13 @@ Accelerator::RebuildOutcome Accelerator::RebuildFromJournal(Time now) {
   return outcome;
 }
 
-std::vector<std::string> Accelerator::JournaledUrls() const {
-  std::vector<std::string> urls;
-  urls.reserve(last_seen_version_.size());
-  for (const auto& [url, version] : last_seen_version_) urls.push_back(url);
-  std::sort(urls.begin(), urls.end());
-  return urls;
+std::vector<DocId> Accelerator::JournaledDocs() const {
+  std::vector<DocId> docs;
+  for (DocId doc = 0; doc < last_seen_version_.size(); ++doc) {
+    if (last_seen_version_[doc] != 0) docs.push_back(doc);
+  }
+  SortByName(docs, ids_->docs);
+  return docs;
 }
 
 Accelerator::RecoveryOutcome Accelerator::RecoverFromJournal(Time now) {
@@ -197,13 +237,14 @@ Accelerator::RecoveryOutcome Accelerator::RecoverFromJournal(Time now) {
 
   // Intact journal: only documents whose store version advanced while the
   // server was down need (targeted) invalidations.
-  for (const std::string& url : JournaledUrls()) {
-    const http::Document* doc = store_->Find(url);
-    if (doc == nullptr || doc->version == last_seen_version_.at(url)) continue;
-    std::vector<net::Invalidation> changed = DetectAndInvalidate(url, now);
-    for (net::Invalidation& inv : changed) {
+  for (const DocId doc : JournaledDocs()) {
+    const http::Document* document = store_->Find(doc);
+    if (document == nullptr || document->version == last_seen_version_[doc]) {
+      continue;
+    }
+    for (net::DocInvalidation& inv : CheckDocument(doc, now)) {
       inv.recovery = true;
-      outcome.invalidations.push_back(std::move(inv));
+      outcome.invalidations.push_back(net::ToWire(inv, *ids_));
     }
   }
   return outcome;

@@ -15,13 +15,16 @@
 // The accelerator is transport-agnostic: it turns protocol inputs into
 // protocol outputs, and the replay engine (or the live socket server)
 // moves them. Costs/queueing live with the caller.
+//
+// Protocol calls come by id (the store's core::IdSpace) and by name; the
+// named forms resolve names once and run the id path. Recovery speaks
+// names: it is rare, and the journal it replays is text.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/invalidation_table.h"
@@ -53,26 +56,30 @@ class Accelerator {
               std::string server_name = "origin")
       : origin_(store),
         store_(&store),
-        table_(lease),
+        ids_(&store.ids()),
+        table_(lease, store.ids()),
+        registry_(store.ids()),
         server_name_(std::move(server_name)) {}
 
   // Serves a GET/IMS at protocol time `now`: answers from the origin,
   // registers the requesting site, and stamps the granted lease into the
-  // reply. std::nullopt for unknown URLs.
+  // reply. std::nullopt for unknown documents.
+  std::optional<net::DocReply> HandleRequest(const net::DocRequest& request,
+                                             Time now);
   std::optional<net::Reply> HandleRequest(const net::Request& request,
                                           Time now);
 
   // Check-in notification: if the document changed since the accelerator
-  // last saw it, returns one INVALIDATE per registered site (and forgets
-  // them). Empty when nothing changed.
+  // last saw it, returns one INVALIDATE per registered site, in site-name
+  // order (and forgets them). Empty when nothing changed.
+  std::vector<net::DocInvalidation> HandleNotify(DocId doc, Time now);
   std::vector<net::Invalidation> HandleNotify(const net::Notify& notify,
                                               Time now);
 
   // Browser-based detection: a request from a local browser for a local
   // document suggests checking its modification time. Same outcome as a
   // notify when the document did change.
-  std::vector<net::Invalidation> CheckDocument(std::string_view url,
-                                               Time now);
+  std::vector<net::DocInvalidation> CheckDocument(DocId doc, Time now);
 
   // --- failure handling ----------------------------------------------------
   // Server-site crash: the in-memory invalidation table is lost; the
@@ -83,6 +90,9 @@ class Accelerator {
   // to mark this server's documents questionable. The pre-journal fallback,
   // and what journal recovery degrades to when the journal is damaged.
   std::vector<net::Invalidation> Recover();
+  // The same broadcast to `sites`, in site-name order (the sharded facade
+  // passes the union of its shards' registries).
+  std::vector<net::Invalidation> Broadcast(std::vector<SiteId> sites);
 
   // --- write-ahead journal (Section 4's persistent site lists) -------------
   // When enabled, every registration / invalidation / version pin is
@@ -129,8 +139,9 @@ class Accelerator {
   };
   RebuildOutcome RebuildFromJournal(Time now);
 
-  // Sorted URLs with a journaled version baseline (phase 2's candidates).
-  std::vector<std::string> JournaledUrls() const;
+  // Documents with a journaled version baseline, in name order (phase 2's
+  // candidates).
+  std::vector<DocId> JournaledDocs() const;
 
   InvalidationTable& table() { return table_; }
   const InvalidationTable& table() const { return table_; }
@@ -153,16 +164,23 @@ class Accelerator {
                      std::string_view prefix) const;
 
  private:
-  std::vector<net::Invalidation> DetectAndInvalidate(std::string_view url,
-                                                     Time now);
+  std::vector<net::Invalidation> ToWire(
+      const std::vector<net::DocInvalidation>& invalidations) const;
+
+  // The version baseline of `doc`; 0 = never seen (versions start at 1).
+  std::uint64_t& BaselineOf(DocId doc) {
+    if (doc >= last_seen_version_.size()) last_seen_version_.resize(doc + 1);
+    return last_seen_version_[doc];
+  }
 
   http::OriginServer origin_;
   const http::DocumentStore* store_;
+  IdSpace* ids_;
   InvalidationTable table_;
   SiteRegistry registry_;
-  // Document version as of the last invalidation (or first sighting);
-  // modifications are detected as version advances past this.
-  std::unordered_map<std::string, std::uint64_t> last_seen_version_;
+  // By doc id: the version as of the last invalidation (or first sighting);
+  // modifications are detected as version advances past it. 0 = unseen.
+  std::vector<std::uint64_t> last_seen_version_;
   std::string server_name_;
   AcceleratorStats stats_;
   SiteJournal journal_;

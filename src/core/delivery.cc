@@ -4,8 +4,8 @@
 
 namespace webcc::core {
 
-void WriteDelivery::AddTarget(std::string_view site, Time lease_until) {
-  auto [it, inserted] = targets_.try_emplace(std::string(site));
+void WriteDelivery::AddTarget(SiteId site, Time lease_until) {
+  auto [it, inserted] = targets_.try_emplace(site);
   if (inserted) {
     it->second.lease_until = lease_until;
     ++outstanding_;
@@ -19,7 +19,7 @@ void WriteDelivery::AddTarget(std::string_view site, Time lease_until) {
   }
 }
 
-bool WriteDelivery::Resolve(std::string_view site, bool by_expiry) {
+bool WriteDelivery::Resolve(SiteId site, bool by_expiry) {
   const auto it = targets_.find(site);
   if (it == targets_.end() || it->second.resolved) return false;
   it->second.resolved = true;
@@ -28,11 +28,11 @@ bool WriteDelivery::Resolve(std::string_view site, bool by_expiry) {
   return outstanding_ == 0;
 }
 
-bool WriteDelivery::Ack(std::string_view site) {
+bool WriteDelivery::Ack(SiteId site) {
   return Resolve(site, /*by_expiry=*/false);
 }
 
-bool WriteDelivery::MarkDead(std::string_view site) {
+bool WriteDelivery::MarkDead(SiteId site) {
   return Resolve(site, /*by_expiry=*/true);
 }
 

@@ -10,14 +10,13 @@
 // WriteDelivery tracks those targets for one modification. It is pure
 // bookkeeping — no I/O, no clocks of its own — so the replay engine and the
 // live stack drive the identical machine from their own event loops, and
-// the fault harness can assert on it directly. Targets are kept in a sorted
-// map so iteration order (and thus trace output) is deterministic.
+// the fault harness can assert on it directly. Targets are site ids in the
+// run's core::IdSpace, kept in a sorted map so iteration is deterministic.
 #pragma once
 
 #include <map>
-#include <string>
-#include <string_view>
 
+#include "core/id_space.h"
 #include "net/message.h"
 #include "util/time.h"
 
@@ -32,27 +31,21 @@ class WriteDelivery {
     kNoTargets,      // nobody cached the document
   };
 
-  WriteDelivery() = default;
-  explicit WriteDelivery(std::string url) : url_(std::move(url)) {}
-
-  const std::string& url() const { return url_; }
-  void set_url(std::string url) { url_ = std::move(url); }
-
   // Registers one site the INVALIDATE must reach. `lease_until` is the
   // expiry the accelerator granted that site (net::kNoLease = the write
   // waits for this ack forever, the leaseless Section 4 behaviour).
   // Re-adding an existing unresolved site keeps the later expiry.
-  void AddTarget(std::string_view site, Time lease_until);
+  void AddTarget(SiteId site, Time lease_until);
 
   // The site acknowledged its invalidation. Idempotent; unknown sites are
   // ignored (a duplicated datagram may ack twice). Returns true when this
   // call resolved the whole delivery.
-  bool Ack(std::string_view site);
+  bool Ack(SiteId site);
 
   // The site will never acknowledge (connection refused, retry budget
   // exhausted). Consistency is preserved by the proxy-recovery rule, so the
   // write need not block on it. Returns true when this resolved delivery.
-  bool MarkDead(std::string_view site);
+  bool MarkDead(SiteId site);
 
   // Resolves every target whose lease has lapsed at `now` (half-open: a
   // lease is active while now < lease_until). Returns true when this call
@@ -77,10 +70,9 @@ class WriteDelivery {
     bool resolved = false;
   };
 
-  bool Resolve(std::string_view site, bool by_expiry);
+  bool Resolve(SiteId site, bool by_expiry);
 
-  std::string url_;
-  std::map<std::string, Target, std::less<>> targets_;
+  std::map<SiteId, Target> targets_;
   int outstanding_ = 0;
   bool any_expired_ = false;
 };

@@ -8,7 +8,12 @@
 
 namespace webcc::core {
 
-InvalidationTable::InvalidationTable(LeaseConfig lease) : lease_(lease) {
+InvalidationTable::InvalidationTable(LeaseConfig lease, IdSpace& ids)
+    : lease_(lease), ids_(&ids) {
+  ConfigureWheel();
+}
+
+void InvalidationTable::ConfigureWheel() {
   // Size the wheel so one revolution covers twice the longest lease the
   // config can grant: every freshly granted expiry then lands inside the
   // current revolution and Schedule's horizon clamp only ever fires for
@@ -35,7 +40,7 @@ InvalidationTable::InvalidationTable(LeaseConfig lease) : lease_(lease) {
   wheel_.Configure(granularity, kWheelSlots);
 }
 
-Time InvalidationTable::Register(std::string_view url, std::string_view client,
+Time InvalidationTable::Register(DocId doc, SiteId site,
                                  net::MessageType request_type, Time now) {
   const Time lease_until = GrantLease(lease_, request_type, now);
   if (!LeaseActive(lease_until, now)) {
@@ -44,75 +49,64 @@ Time InvalidationTable::Register(std::string_view url, std::string_view client,
     // longer lease from an earlier request is left untouched.
     return lease_until;
   }
-  const InternId url_id = urls_.Intern(url);
-  if (url_id >= lists_.size()) lists_.resize(url_id + 1);
-  CompactSiteList& list = lists_[url_id];
+  if (Upsert(doc, site, lease_until)) ++lease_renewals_;
+  return lease_until;
+}
+
+bool InvalidationTable::Upsert(DocId doc, SiteId site, Time lease_until) {
+  if (doc >= lists_.size()) lists_.resize(doc + 1);
+  CompactSiteList& list = lists_[doc];
   if (list.empty()) ++urls_tracked_;
-  const InternId site_id = clients_.Intern(client);
-  auto [slot, inserted] = list.Upsert(site_id, lease_until);
+  auto [slot, inserted] = list.Upsert(site, lease_until);
   if (inserted) {
     ++total_entries_;
     // Only a timed lease is expirable; kNoLease entries stay out of the
     // wheel (plain invalidation remembers sites forever).
-    if (lease_until != net::kNoLease) {
-      wheel_.Schedule(url_id, site_id, lease_until);
-    }
-  } else {
-    // Renewal. Refresh, never shorten: a still-active lease keeps its later
-    // expiry. The wheel is NOT touched — the entry's old slot is visited no
-    // later than the old expiry, finds the lease alive, and reschedules at
-    // the refreshed one (lazy renewal, no duplicate wheel entries).
-    if (*slot != net::kNoLease &&
-        (lease_until == net::kNoLease || lease_until > *slot)) {
-      *slot = lease_until;
-      ++lease_renewals_;
-    }
+    if (lease_until != net::kNoLease) wheel_.Schedule(doc, site, lease_until);
+    return false;
   }
-  return lease_until;
-}
-
-std::vector<std::string> InvalidationTable::TakeSitesForInvalidation(
-    std::string_view url, Time now) {
-  std::vector<std::string> sites;
-  for (TakenSite& taken : TakeSitesWithLeases(url, now)) {
-    sites.push_back(std::move(taken.site));
+  // Renewal. Refresh, never shorten: a still-active lease keeps its later
+  // expiry. The wheel is NOT touched — the entry's old slot is visited no
+  // later than the old expiry, finds the lease alive, and reschedules at
+  // the refreshed one (lazy renewal, no duplicate wheel entries).
+  if (*slot != net::kNoLease &&
+      (lease_until == net::kNoLease || lease_until > *slot)) {
+    *slot = lease_until;
+    return true;
   }
-  return sites;
+  return false;
 }
 
 std::vector<InvalidationTable::TakenSite>
-InvalidationTable::TakeSitesWithLeases(std::string_view url, Time now) {
+InvalidationTable::TakeSitesWithLeases(DocId doc, Time now) {
   std::vector<TakenSite> sites;
-  const InternId url_id = urls_.Find(url);
-  if (url_id == kNoInternId) return sites;
-  CompactSiteList* list = FindList(url_id);
+  CompactSiteList* list = FindList(doc);
   if (list == nullptr) return sites;
   // Lapsed entries are not "taken" — their lease already freed the server
   // from invalidating them — but they don't vanish silently either: they go
   // through the same expiry accounting as PruneExpired, so kLeaseExpiry
   // emission and leases_expired() stay reconciled with entry retirement.
   std::vector<ExpiredEntry> expired;
-  ExpireListEntries(url_id, now, expired);
+  ExpireListEntries(doc, now, expired);
   if (!list->empty()) {
     sites.reserve(list->size());
-    list->ForEach([&](InternId site, Time lease_until) {
-      sites.push_back({std::string(clients_.NameOf(site)), lease_until});
+    list->ForEach([&](SiteId site, Time lease_until) {
+      sites.push_back({site, lease_until});
     });
     total_entries_ -= list->size();
     ReleaseList(*list);
   }
+  const Interner& names = ids_->sites;
   std::sort(sites.begin(), sites.end(),  // deterministic fan-out order
-            [](const TakenSite& a, const TakenSite& b) {
-              return a.site < b.site;
+            [&names](const TakenSite& a, const TakenSite& b) {
+              return names.NameOf(a.site) < names.NameOf(b.site);
             });
-  EmitLeaseExpiries(expired, now);
+  EmitLeaseExpiries(trace_sink_, expired, now);
   return sites;
 }
 
 void InvalidationTable::DropList(std::string_view url) {
-  const InternId url_id = urls_.Find(url);
-  if (url_id == kNoInternId) return;
-  CompactSiteList* list = FindList(url_id);
+  CompactSiteList* list = FindList(ids_->docs.Find(url));
   if (list == nullptr) return;
   total_entries_ -= list->size();
   ReleaseList(*list);
@@ -127,32 +121,15 @@ bool InvalidationTable::Restore(std::string_view url, std::string_view client,
     // the next prune and seed the wheel with dead slots.
     return false;
   }
-  const InternId url_id = urls_.Intern(url);
-  if (url_id >= lists_.size()) lists_.resize(url_id + 1);
-  CompactSiteList& list = lists_[url_id];
-  if (list.empty()) ++urls_tracked_;
-  const InternId site_id = clients_.Intern(client);
-  auto [slot, inserted] = list.Upsert(site_id, lease_until);
-  if (inserted) {
-    ++total_entries_;
-    if (lease_until != net::kNoLease) {
-      wheel_.Schedule(url_id, site_id, lease_until);
-    }
-  } else if (*slot != net::kNoLease &&
-             (lease_until == net::kNoLease || lease_until > *slot)) {
-    *slot = lease_until;
-  }
+  Upsert(ids_->docs.Intern(url), ids_->sites.Intern(client), lease_until);
   return true;
 }
 
-std::size_t InvalidationTable::ListLength(std::string_view url,
-                                          Time now) const {
-  const InternId url_id = urls_.Find(url);
-  if (url_id == kNoInternId) return 0;
-  const CompactSiteList* list = FindList(url_id);
+std::size_t InvalidationTable::ListLength(DocId doc, Time now) const {
+  const CompactSiteList* list = FindList(doc);
   if (list == nullptr) return 0;
   std::size_t live = 0;
-  list->ForEach([&](InternId /*site*/, Time lease_until) {
+  list->ForEach([&](SiteId /*site*/, Time lease_until) {
     if (LeaseActive(lease_until, now)) ++live;
   });
   return live;
@@ -166,7 +143,7 @@ std::size_t InvalidationTable::PruneExpired(Time now) {
   // mattered (the tables end up identical); emission order is output.
   std::vector<ExpiredEntry> expired;
   const std::size_t pruned = PruneExpiredInto(now, expired);
-  EmitLeaseExpiries(expired, now);
+  EmitLeaseExpiries(trace_sink_, expired, now);
   return pruned;
 }
 
@@ -185,9 +162,9 @@ std::size_t InvalidationTable::PruneExpiredInto(
       // unexpirable entries don't belong in the ring).
       return lease_until;
     }
-    // Interner names are stable views; they outlive the erase below.
+    // Id-space names are stable views; they outlive the erase below.
     out.push_back(
-        {urls_.NameOf(url_id), clients_.NameOf(site_id), lease_until});
+        {ids_->DocName(url_id), ids_->SiteName(site_id), lease_until});
     list->Erase(site_id);
     if (list->empty()) ReleaseList(*list);
     --total_entries_;
@@ -198,9 +175,9 @@ std::size_t InvalidationTable::PruneExpiredInto(
   return pruned;
 }
 
-void InvalidationTable::ExpireListEntries(InternId url_id, Time now,
+void InvalidationTable::ExpireListEntries(DocId doc, Time now,
                                           std::vector<ExpiredEntry>& out) {
-  CompactSiteList* list = FindList(url_id);
+  CompactSiteList* list = FindList(doc);
   if (list == nullptr) return;
   std::vector<std::pair<InternId, Time>> dead;
   list->ForEach([&](InternId site, Time lease_until) {
@@ -208,27 +185,28 @@ void InvalidationTable::ExpireListEntries(InternId url_id, Time now,
   });
   for (const auto& [site, lease_until] : dead) {
     list->Erase(site);
-    out.push_back({urls_.NameOf(url_id), clients_.NameOf(site), lease_until});
+    out.push_back({ids_->DocName(doc), ids_->SiteName(site), lease_until});
   }
   total_entries_ -= dead.size();
   leases_expired_ += dead.size();
   if (list->empty()) ReleaseList(*list);
 }
 
-void InvalidationTable::EmitLeaseExpiries(std::vector<ExpiredEntry>& expired,
+void InvalidationTable::EmitLeaseExpiries(obs::TraceSink* sink,
+                                          std::vector<ExpiredEntry>& expired,
                                           Time now) {
-  if (trace_sink_ == nullptr || expired.empty()) return;
+  if (sink == nullptr || expired.empty()) return;
   std::sort(expired.begin(), expired.end(),
             [](const ExpiredEntry& a, const ExpiredEntry& b) {
               if (a.url != b.url) return a.url < b.url;
               return a.site < b.site;
             });
   for (const ExpiredEntry& e : expired) {
-    obs::Emit(trace_sink_, {.type = obs::EventType::kLeaseExpiry,
-                            .at = now,
-                            .url = e.url,
-                            .site = e.site,
-                            .detail = e.lease_until});
+    obs::Emit(sink, {.type = obs::EventType::kLeaseExpiry,
+                     .at = now,
+                     .url = e.url,
+                     .site = e.site,
+                     .detail = e.lease_until});
   }
 }
 
@@ -238,8 +216,8 @@ std::vector<InvalidationTable::Snapshot> InvalidationTable::SnapshotEntries()
   out.reserve(total_entries_);
   for (InternId url_id = 0; url_id < lists_.size(); ++url_id) {
     lists_[url_id].ForEach([&](InternId site, Time lease_until) {
-      out.push_back({std::string(urls_.NameOf(url_id)),
-                     std::string(clients_.NameOf(site)), lease_until});
+      out.push_back({ids_->DocName(url_id), ids_->SiteName(site),
+                     lease_until});
     });
   }
   std::sort(out.begin(), out.end(), [](const Snapshot& a, const Snapshot& b) {
@@ -262,9 +240,9 @@ std::uint64_t InvalidationTable::StorageBytes() const {
   for (InternId url_id = 0; url_id < lists_.size(); ++url_id) {
     const CompactSiteList& list = lists_[url_id];
     if (list.empty()) continue;
-    bytes += urls_.NameOf(url_id).size();
+    bytes += ids_->DocName(url_id).size();
     list.ForEach([&](InternId site, Time /*lease_until*/) {
-      bytes += clients_.NameOf(site).size() + kPerEntryOverheadBytes;
+      bytes += ids_->SiteName(site).size() + kPerEntryOverheadBytes;
     });
   }
   return bytes;
@@ -295,8 +273,8 @@ void InvalidationTable::ExportMetrics(obs::MetricsRegistry& registry,
 }
 
 void InvalidationTable::Clear() {
-  // The interners survive a crash on purpose: ids stay valid for the
-  // recovery path, and the tables are bounded by the trace's vocabulary.
+  // The id space survives a crash on purpose: ids stay valid for the
+  // recovery path, and it is bounded by the run's vocabulary.
   // The expiry/renewal counters survive too — they are measurement record,
   // not server state (a crash does not un-expire a lease).
   lists_.clear();

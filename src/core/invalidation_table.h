@@ -11,10 +11,10 @@
 // lease window, and with two-tier leases a plain GET's near-zero lease keeps
 // one-time viewers out of the table entirely.
 //
-// URLs and client identifiers are interned to dense ids (core::Interner):
-// this table sits on the server's per-request hot path (Register on every
-// GET/IMS), so the site lists key on integers and each request hashes its
-// strings exactly once. The public interface stays string-based.
+// The table keys on doc and site ids (DESIGN.md §16): lists_ is indexed by
+// doc id and each list holds site ids. Names are read back only for events,
+// snapshots and the Table 5 storage accounting, and resolved only for the
+// journal's text (Restore, DropList).
 //
 // Million-site scale (ROADMAP item 4): site lists are CompactSiteList —
 // dense open-addressing tables of 12-byte slots keyed on the site id — and
@@ -31,7 +31,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/intern.h"
+#include "core/id_space.h"
 #include "core/policy.h"
 #include "core/site_list.h"
 #include "core/timer_wheel.h"
@@ -44,36 +44,33 @@ namespace webcc::core {
 
 class InvalidationTable {
  public:
-  explicit InvalidationTable(LeaseConfig lease);
+  InvalidationTable(LeaseConfig lease, IdSpace& ids);
 
-  // Registers `client` for `url` following a request of `request_type`
+  // Registers `site` for `doc` following a request of `request_type`
   // (kGet or kIfModifiedSince) at protocol time `now`. Returns the lease
   // expiry granted (net::kNoLease when leases are off). A zero-length lease
   // does not create an entry. A repeat viewer with a live entry is a
   // *renewal*: its expiry is refreshed in place (never shortened) and the
   // timer wheel picks the new slot up lazily — no second entry, no second
   // wheel slot.
-  Time Register(std::string_view url, std::string_view client,
-                net::MessageType request_type, Time now);
+  Time Register(DocId doc, SiteId site, net::MessageType request_type,
+                Time now);
 
-  // Collects the sites holding an unexpired lease on `url` and clears the
-  // list (each collected site is about to receive an invalidation, after
-  // which the server forgets it, as in the paper). Entries whose lease
-  // already lapsed are dropped through the same expiry accounting as
-  // PruneExpired — they emit kLeaseExpiry (site-sorted) and count toward
-  // leases_expired(), so the DESIGN §8 event/counter reconciliation holds
-  // no matter which path retires an entry.
-  std::vector<std::string> TakeSitesForInvalidation(std::string_view url,
-                                                    Time now);
-
-  // Like TakeSitesForInvalidation, but keeps each site's lease expiry — the
-  // delivery-state machine needs it to decide when a straggler's lease
-  // lapses and the write may complete without its ack (Section 6 bound).
+  // Collects the sites holding an unexpired lease on `doc`, with each
+  // site's lease expiry, and clears the list (each collected site is about
+  // to receive an invalidation, after which the server forgets it, as in
+  // the paper). The delivery-state machine needs the expiries to decide
+  // when a straggler's lease lapses and the write may complete without its
+  // ack (Section 6 bound). Entries whose lease already lapsed are dropped
+  // through the same expiry accounting as PruneExpired — they emit
+  // kLeaseExpiry (site-sorted) and count toward leases_expired(), so the
+  // DESIGN §8 event/counter reconciliation holds no matter which path
+  // retires an entry. Sites come back in name order.
   struct TakenSite {
-    std::string site;
+    SiteId site = kNoInternId;
     Time lease_until = net::kNoLease;
   };
-  std::vector<TakenSite> TakeSitesWithLeases(std::string_view url, Time now);
+  std::vector<TakenSite> TakeSitesWithLeases(DocId doc, Time now);
 
   // Silently discards `url`'s whole list: journal replay applying an 'I'
   // record. History replay is not protocol execution — it must not emit
@@ -99,16 +96,16 @@ class InvalidationTable {
   };
   std::vector<Snapshot> SnapshotEntries() const;
 
-  // Number of live (unexpired) entries for one URL.
-  std::size_t ListLength(std::string_view url, Time now) const;
+  // Number of live (unexpired) entries for one document.
+  std::size_t ListLength(DocId doc, Time now) const;
 
   // Drops expired entries table-wide; returns how many were pruned. The
   // replay calls this at lock-step boundaries so storage numbers reflect
   // live leases only. O(expired + slots passed) amortized via the wheel.
   std::size_t PruneExpired(Time now);
 
-  // One entry dropped by a prune. The views point into the interners, which
-  // never discard names, so they stay valid after the entry is erased.
+  // One entry dropped by a prune. The views point into the id space, which
+  // never discards names, so they stay valid after the entry is erased.
   struct ExpiredEntry {
     std::string_view url;
     std::string_view site;
@@ -120,6 +117,11 @@ class InvalidationTable {
   // sharded accelerator prunes every shard through this, then sorts and
   // emits the union so the event stream is identical at any shard count.
   std::size_t PruneExpiredInto(Time now, std::vector<ExpiredEntry>& out);
+
+  // Sorts `expired` into (url, site) order and emits one kLeaseExpiry each
+  // (nothing when `sink` is null).
+  static void EmitLeaseExpiries(obs::TraceSink* sink,
+                                std::vector<ExpiredEntry>& expired, Time now);
 
   // --- storage accounting (Table 5) ---------------------------------------
   // Total present entries across all URLs (live + expired-not-yet-pruned).
@@ -165,22 +167,26 @@ class InvalidationTable {
   static constexpr std::uint64_t kPerEntryOverheadBytes = 16;
   static constexpr std::size_t kWheelSlots = 4096;
 
+  void ConfigureWheel();
+
   // Appends `url`'s lapsed entries to `out` (unsorted; EmitLeaseExpiries
   // sorts) and erases them, charging leases_expired_. Used by the take
   // path — wheel-driven prune erases per entry as slots are visited.
-  void ExpireListEntries(InternId url_id, Time now,
+  void ExpireListEntries(DocId doc, Time now,
                          std::vector<ExpiredEntry>& out);
 
-  void EmitLeaseExpiries(std::vector<ExpiredEntry>& expired, Time now);
 
-  CompactSiteList* FindList(InternId url_id) {
-    return url_id < lists_.size() && !lists_[url_id].empty()
-               ? &lists_[url_id]
-               : nullptr;
+  CompactSiteList* FindList(DocId doc) {
+    return doc < lists_.size() && !lists_[doc].empty() ? &lists_[doc]
+                                                       : nullptr;
   }
-  const CompactSiteList* FindList(InternId url_id) const {
-    return const_cast<InvalidationTable*>(this)->FindList(url_id);
+  const CompactSiteList* FindList(DocId doc) const {
+    return const_cast<InvalidationTable*>(this)->FindList(doc);
   }
+  // Inserts (doc, site) with `lease_until`, scheduling a new timed entry on
+  // the wheel, or refreshes an existing one — never shortening a live
+  // lease. Returns whether an existing entry's expiry was extended.
+  bool Upsert(DocId doc, SiteId site, Time lease_until);
 
   void ReleaseList(CompactSiteList& list) {
     list.Reset();
@@ -188,9 +194,8 @@ class InvalidationTable {
   }
 
   LeaseConfig lease_;
-  Interner urls_;
-  Interner clients_;
-  // Indexed by url id (dense, from urls_). Empty lists are not "tracked".
+  IdSpace* ids_;
+  // Indexed by doc id. Empty lists are not "tracked".
   std::vector<CompactSiteList> lists_;
   TimerWheel wheel_;
   std::size_t total_entries_ = 0;

@@ -14,19 +14,20 @@
 // the same (site, url, write_id) merges to a no-op, so no write's machine
 // is ever acked twice for one site.
 //
-// Draining is deterministic: sites leave in lexicographic order, each
-// site's URLs in first-queued order. A `ready` predicate lets the sender
-// hold sites it cannot currently reach (partitioned but alive), so their
-// entries keep accumulating until the link heals.
+// Draining is deterministic: sites leave in name order, each site's
+// documents in first-queued order. Sites and documents are ids in the
+// run's core::IdSpace; Drain takes the site names to order by. A `ready`
+// predicate lets the sender hold sites it cannot currently reach
+// (partitioned but alive), so their entries keep accumulating until the
+// link heals.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
-#include <string_view>
 #include <vector>
 
+#include "core/id_space.h"
 #include "util/time.h"
 
 namespace webcc::core {
@@ -34,26 +35,28 @@ namespace webcc::core {
 class InvalidationOutbox {
  public:
   struct Batch {
-    std::string site;
-    std::vector<std::string> urls;  // first-queued order, no duplicates
-    // Parallel to `urls`: the write (modification) ids each URL's delivery
-    // resolves — more than one when dup-writes coalesced.
+    SiteId site = kNoInternId;
+    std::vector<DocId> docs;  // first-queued order, no duplicates
+    // Parallel to `docs`: the write (modification) ids each document's
+    // delivery resolves — more than one when dup-writes coalesced.
     std::vector<std::vector<std::uint64_t>> write_ids;
     // Earliest queue time across the batch's entries — the sender's
     // flush-latency measurement point.
     Time oldest_queued = 0;
   };
 
-  // Queues one invalidation for `site`. Returns true when the (site, url)
-  // pair was already pending and the write id merged into it (coalesced).
-  bool Add(std::string_view site, std::string_view url, std::uint64_t write_id,
-           Time queued_at);
+  // Queues one invalidation of `doc` for `site`. Returns true when the
+  // (site, doc) pair was already pending and the write id merged into it
+  // (coalesced).
+  bool Add(SiteId site, DocId doc, std::uint64_t write_id, Time queued_at);
 
   // Removes and returns one batch per site for which `ready` returns true
-  // (every site when `ready` is null), in sorted site order. Entries of
-  // not-ready sites stay queued and keep coalescing.
+  // (every site when `ready` is null), in the order of the sites' names in
+  // `site_names`. Entries of not-ready sites stay queued and keep
+  // coalescing.
   std::vector<Batch> Drain(
-      const std::function<bool(const std::string&)>& ready = nullptr);
+      const Interner& site_names,
+      const std::function<bool(SiteId)>& ready = nullptr);
 
   bool empty() const { return pending_.empty(); }
   std::size_t pending_sites() const { return pending_.size(); }
@@ -61,12 +64,11 @@ class InvalidationOutbox {
 
  private:
   struct Entry {
-    std::string url;
+    DocId doc = kNoInternId;
     std::vector<std::uint64_t> write_ids;
     Time queued_at = 0;  // when the entry was first queued
   };
-  // Ordered by site so drains fan out in a deterministic order.
-  std::map<std::string, std::vector<Entry>> pending_;
+  std::map<SiteId, std::vector<Entry>> pending_;
   std::size_t pending_url_count_ = 0;
 };
 

@@ -22,10 +22,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/id_space.h"
 #include "http/document_store.h"
 #include "util/time.h"
 
@@ -42,28 +42,32 @@ struct PiggybackConfig {
 // --- PCV ---------------------------------------------------------------------
 
 // One piggybacked validation candidate: a cached copy identified by its
-// (url, owner) pair, with the metadata the server needs to validate it.
-// Proxy-local cache keys never cross the wire; the proxy recomposes them
-// from the verdict (http::ComposeCacheKey).
+// (doc, site) pair — the real client whose namespaced copy it is — as ids
+// in the store's core::IdSpace, with the metadata the server needs to
+// validate it. A document the store does not hold is kNoInternId.
 struct PcvItem {
-  std::string url;
-  std::string owner;  // the real client whose namespaced copy this is
+  DocId doc = kNoInternId;
+  SiteId site = kNoInternId;
   Time last_modified = 0;
 };
 
 struct PcvVerdict {
-  std::string url;
-  std::string owner;
+  DocId doc = kNoInternId;
+  SiteId site = kNoInternId;
   bool invalid = false;  // document changed since the entry's last_modified
 };
 
 // Bulk validation against the document store (the server side of PCV).
+// Verdicts come back in item order.
 std::vector<PcvVerdict> ValidatePiggyback(const http::DocumentStore& store,
                                           const std::vector<PcvItem>& items);
 
-// Wire-size overhead the piggyback adds to a request / to a reply.
-std::uint64_t PcvRequestExtraBytes(const std::vector<PcvItem>& items);
-std::uint64_t PcvReplyExtraBytes(const std::vector<PcvVerdict>& verdicts);
+// Wire-size overhead the piggyback adds to a request / to a reply, from the
+// lengths of the names `ids` holds for the items.
+std::uint64_t PcvRequestExtraBytes(const std::vector<PcvItem>& items,
+                                   const IdSpace& ids);
+std::uint64_t PcvReplyExtraBytes(const std::vector<PcvVerdict>& verdicts,
+                                 const IdSpace& ids);
 
 // --- PSI ---------------------------------------------------------------------
 
@@ -72,24 +76,25 @@ std::uint64_t PcvReplyExtraBytes(const std::vector<PcvVerdict>& verdicts);
 class ModificationLog {
  public:
   // `at` must be >= every previously recorded time.
-  void Record(Time at, std::string url);
+  void Record(Time at, DocId doc);
 
   struct Window {
-    std::vector<std::string> urls;  // deduplicated, in first-touch order
-    Time advanced_to = 0;           // new contact cursor for the proxy
+    std::vector<DocId> docs;  // deduplicated, in first-touch order
+    Time advanced_to = 0;     // new contact cursor for the proxy
   };
 
-  // Modifications in (since, now], capped at `max_urls` distinct documents.
+  // Modifications in (since, now], capped at `max_docs` distinct documents.
   // When the cap truncates, advanced_to stops at the last included
   // modification so nothing is skipped on the next contact.
-  Window CollectSince(Time since, Time now, std::size_t max_urls) const;
+  Window CollectSince(Time since, Time now, std::size_t max_docs) const;
 
   std::size_t size() const { return entries_.size(); }
 
  private:
-  std::vector<std::pair<Time, std::string>> entries_;
+  std::vector<std::pair<Time, DocId>> entries_;
 };
 
-std::uint64_t PsiReplyExtraBytes(const std::vector<std::string>& urls);
+std::uint64_t PsiReplyExtraBytes(const std::vector<DocId>& docs,
+                                 const IdSpace& ids);
 
 }  // namespace webcc::core

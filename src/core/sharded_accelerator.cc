@@ -1,7 +1,6 @@
 #include "core/sharded_accelerator.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 namespace webcc::core {
@@ -10,12 +9,22 @@ ShardedAccelerator::ShardedAccelerator(const http::DocumentStore& store,
                                        LeaseConfig lease,
                                        std::uint32_t num_shards,
                                        std::string server_name)
-    : ring_(num_shards), server_name_(std::move(server_name)) {
+    : ring_(num_shards),
+      ids_(&store.ids()),
+      server_name_(std::move(server_name)) {
   shards_.reserve(num_shards);
   for (std::uint32_t i = 0; i < num_shards; ++i) {
     shards_.push_back(
         std::make_unique<Accelerator>(store, lease, server_name_));
   }
+}
+
+std::uint32_t ShardedAccelerator::ShardOf(DocId doc) const {
+  if (ring_.num_shards() == 1) return 0;
+  if (doc >= shard_of_doc_.size()) shard_of_doc_.resize(doc + 1, kNoShard);
+  std::uint32_t& shard = shard_of_doc_[doc];
+  if (shard == kNoShard) shard = ring_.ShardOf(ids_->DocName(doc));
+  return shard;
 }
 
 std::optional<net::Reply> ShardedAccelerator::HandleRequest(
@@ -28,38 +37,21 @@ std::vector<net::Invalidation> ShardedAccelerator::HandleNotify(
   return shards_[ring_.ShardOf(notify.url)]->HandleNotify(notify, now);
 }
 
-std::vector<net::Invalidation> ShardedAccelerator::CheckDocument(
-    std::string_view url, Time now) {
-  return shards_[ring_.ShardOf(url)]->CheckDocument(url, now);
-}
-
 void ShardedAccelerator::Crash() {
   for (const std::unique_ptr<Accelerator>& shard : shards_) shard->Crash();
 }
 
 std::vector<net::Invalidation> ShardedAccelerator::Recover() {
   // Union the per-shard registries first: a site that requested documents on
-  // several shards must receive exactly one server-address invalidation,
-  // and std::set keeps the emission order identical to the unsharded tier.
-  std::set<std::string> sites;
+  // several shards must receive exactly one server-address invalidation.
+  std::vector<SiteId> sites;
   for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    const auto& shard_sites = shard->registry().sites();
-    sites.insert(shard_sites.begin(), shard_sites.end());
+    const std::vector<SiteId>& shard_sites = shard->registry().sites();
+    sites.insert(sites.end(), shard_sites.begin(), shard_sites.end());
   }
-  std::vector<net::Invalidation> out;
-  out.reserve(sites.size());
-  for (const std::string& site : sites) {
-    net::Invalidation inv;
-    inv.type = net::MessageType::kInvalidateServer;
-    inv.server = server_name_;
-    inv.client_id = site;
-    inv.recovery = true;
-    obs::Emit(trace_sink_, {.type = obs::EventType::kInvalidateServer,
-                            .site = inv.client_id,
-                            .label = server_name_});
-    out.push_back(std::move(inv));
-  }
-  return out;
+  std::sort(sites.begin(), sites.end());
+  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
+  return shards_.front()->Broadcast(std::move(sites));
 }
 
 void ShardedAccelerator::EnableJournal(bool enabled) {
@@ -93,20 +85,19 @@ ShardedAccelerator::RecoveryOutcome ShardedAccelerator::RecoverFromJournal(
   }
 
   // Phase 2 in global URL order: the concatenation of disjoint per-shard
-  // URL sets, sorted, walks the same sequence the unsharded journal would.
-  std::vector<std::string> urls;
+  // document sets, sorted by name, walks the same sequence the unsharded
+  // journal would.
+  std::vector<DocId> docs;
   for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    std::vector<std::string> shard_urls = shard->JournaledUrls();
-    urls.insert(urls.end(), std::make_move_iterator(shard_urls.begin()),
-                std::make_move_iterator(shard_urls.end()));
+    const std::vector<DocId> shard_docs = shard->JournaledDocs();
+    docs.insert(docs.end(), shard_docs.begin(), shard_docs.end());
   }
-  std::sort(urls.begin(), urls.end());
-  for (const std::string& url : urls) {
-    std::vector<net::Invalidation> changed =
-        shards_[ring_.ShardOf(url)]->CheckDocument(url, now);
-    for (net::Invalidation& inv : changed) {
+  SortByName(docs, ids_->docs);
+  for (const DocId doc : docs) {
+    for (net::DocInvalidation& inv :
+         shards_[ShardOf(doc)]->CheckDocument(doc, now)) {
       inv.recovery = true;
-      outcome.invalidations.push_back(std::move(inv));
+      outcome.invalidations.push_back(net::ToWire(inv, *ids_));
     }
   }
   return outcome;
@@ -118,21 +109,7 @@ std::size_t ShardedAccelerator::PruneExpired(Time now) {
   for (const std::unique_ptr<Accelerator>& shard : shards_) {
     pruned += shard->table().PruneExpiredInto(now, expired);
   }
-  if (trace_sink_ != nullptr) {
-    std::sort(expired.begin(), expired.end(),
-              [](const InvalidationTable::ExpiredEntry& a,
-                 const InvalidationTable::ExpiredEntry& b) {
-                if (a.url != b.url) return a.url < b.url;
-                return a.site < b.site;
-              });
-    for (const InvalidationTable::ExpiredEntry& e : expired) {
-      obs::Emit(trace_sink_, {.type = obs::EventType::kLeaseExpiry,
-                              .at = now,
-                              .url = e.url,
-                              .site = e.site,
-                              .detail = e.lease_until});
-    }
-  }
+  InvalidationTable::EmitLeaseExpiries(trace_sink_, expired, now);
   return pruned;
 }
 

@@ -20,8 +20,9 @@
 //    the table a single journal would have restored.
 //
 // One aggregate that is NOT shard-invariant: sitelist storage bytes. Each
-// shard interns the site names it has seen, so a site caching documents on
-// k shards is counted k times; DESIGN.md §11 discusses the bound.
+// shard charges the name of every site on its lists, so a site caching
+// documents on k shards is counted k times; DESIGN.md §11 discusses the
+// bound. All shards name documents and sites in the store's one id space.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +48,8 @@ class ShardedAccelerator {
                      std::string server_name = "origin");
 
   std::uint32_t num_shards() const { return ring_.num_shards(); }
-  std::uint32_t ShardOf(std::string_view url) const {
-    return ring_.ShardOf(url);
-  }
+  // The ring placement of `doc`, hashing each document's name once.
+  std::uint32_t ShardOf(DocId doc) const;
   Accelerator& shard(std::uint32_t index) { return *shards_[index]; }
   const Accelerator& shard(std::uint32_t index) const {
     return *shards_[index];
@@ -57,11 +57,17 @@ class ShardedAccelerator {
   const std::string& server_name() const { return server_name_; }
 
   // --- URL-routed protocol operations (forwarded to ShardOf(url)) ----------
+  std::optional<net::DocReply> HandleRequest(const net::DocRequest& request,
+                                             Time now) {
+    return shards_[ShardOf(request.doc)]->HandleRequest(request, now);
+  }
   std::optional<net::Reply> HandleRequest(const net::Request& request,
                                           Time now);
+  std::vector<net::DocInvalidation> HandleNotify(DocId doc, Time now) {
+    return shards_[ShardOf(doc)]->HandleNotify(doc, now);
+  }
   std::vector<net::Invalidation> HandleNotify(const net::Notify& notify,
                                               Time now);
-  std::vector<net::Invalidation> CheckDocument(std::string_view url, Time now);
 
   // --- failure handling -----------------------------------------------------
   void Crash();  // every shard's in-memory table dies together
@@ -116,6 +122,10 @@ class ShardedAccelerator {
 
  private:
   HashRing ring_;
+  const IdSpace* ids_;
+  // ShardOf(DocId) memo, indexed by doc id; kNoShard = not placed yet.
+  static constexpr std::uint32_t kNoShard = 0xffffffffu;
+  mutable std::vector<std::uint32_t> shard_of_doc_;
   std::vector<std::unique_ptr<Accelerator>> shards_;
   std::string server_name_;
   obs::TraceSink* trace_sink_ = nullptr;

@@ -4,7 +4,7 @@
 // per URL. At 10^6-10^7 registered sites the node-based map is the memory
 // bottleneck: ~24 bytes of node plus malloc header plus a bucket pointer
 // per 12 bytes of payload. CompactSiteList replaces it with a dense
-// open-addressing table keyed on the interner's site ids, stored as two
+// open-addressing table keyed on the id space's site ids, stored as two
 // parallel arrays (4-byte id, 8-byte lease expiry) so a slot costs exactly
 // 12 bytes with no struct padding and the whole list is two allocations.
 //
@@ -30,7 +30,7 @@
 #include <memory>
 #include <utility>
 
-#include "core/intern.h"
+#include "core/id_space.h"
 #include "util/check.h"
 #include "util/time.h"
 

@@ -4,20 +4,26 @@
 
 namespace webcc::core {
 
-bool SiteRegistry::RecordSite(std::string_view client) {
-  const auto [it, inserted] = sites_.insert(std::string(client));
-  if (inserted) ++disk_writes_;
-  return inserted;
+bool SiteRegistry::Insert(SiteId site) {
+  if (Contains(site)) return false;
+  if (site >= seen_.size()) seen_.resize(site + 1, 0);
+  seen_[site] = 1;
+  sites_.push_back(site);
+  return true;
 }
 
-bool SiteRegistry::Contains(std::string_view client) const {
-  return sites_.count(std::string(client)) != 0;
+bool SiteRegistry::RecordSite(SiteId site) {
+  const bool inserted = Insert(site);
+  if (inserted) ++disk_writes_;
+  return inserted;
 }
 
 bool SiteRegistry::SaveToFile(const std::string& path) const {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  for (const std::string& site : sites_) out << site << '\n';
+  std::vector<SiteId> ordered = sites_;
+  SortByName(ordered, ids_->sites);
+  for (const SiteId site : ordered) out << ids_->SiteName(site) << '\n';
   return static_cast<bool>(out);
 }
 
@@ -26,7 +32,7 @@ bool SiteRegistry::LoadFromFile(const std::string& path) {
   if (!in) return false;
   std::string line;
   while (std::getline(in, line)) {
-    if (!line.empty()) sites_.insert(line);
+    if (!line.empty()) Insert(ids_->sites.Intern(line));
   }
   return true;
 }

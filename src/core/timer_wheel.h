@@ -49,7 +49,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/intern.h"
+#include "core/id_space.h"
 #include "util/check.h"
 #include "util/time.h"
 

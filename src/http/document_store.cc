@@ -1,40 +1,35 @@
 #include "http/document_store.h"
 
-#include <utility>
-
 namespace webcc::http {
 
-bool DocumentStore::Add(std::string path, std::uint64_t size_bytes,
+DocumentStore::DocumentStore()
+    : owned_ids_(std::make_unique<core::IdSpace>()), ids_(owned_ids_.get()) {}
+
+DocumentStore::DocumentStore(core::IdSpace& ids) : ids_(&ids) {}
+
+bool DocumentStore::Add(std::string_view path, std::uint64_t size_bytes,
                         Time last_modified) {
-  const auto [it, inserted] = index_.try_emplace(path, documents_.size());
-  if (!inserted) return false;
-  Document doc;
-  doc.path = std::move(path);
+  const core::DocId id = ids_->docs.Intern(path);
+  if (Find(id) != nullptr) return false;
+  if (id >= documents_.size()) {
+    documents_.resize(id + 1);
+    present_.resize(id + 1, 0);
+  }
+  Document& doc = documents_[id];
   doc.size_bytes = size_bytes;
   doc.last_modified = last_modified;
-  documents_.push_back(std::move(doc));
+  present_[id] = 1;
+  ++size_;
   total_bytes_ += size_bytes;
   return true;
 }
 
-const Document* DocumentStore::Find(std::string_view path) const {
-  const auto it = index_.find(std::string(path));
-  if (it == index_.end()) return nullptr;
-  return &documents_[it->second];
-}
-
-bool DocumentStore::Touch(std::string_view path, Time now) {
-  const auto it = index_.find(std::string(path));
-  if (it == index_.end()) return false;
-  Document& doc = documents_[it->second];
-  doc.last_modified = now;
-  ++doc.version;
+bool DocumentStore::Touch(core::DocId doc, Time now) {
+  if (Find(doc) == nullptr) return false;
+  Document& document = documents_[doc];
+  document.last_modified = now;
+  ++document.version;
   return true;
-}
-
-void DocumentStore::ForEach(
-    const std::function<void(const Document&)>& fn) const {
-  for (const Document& doc : documents_) fn(doc);
 }
 
 }  // namespace webcc::http

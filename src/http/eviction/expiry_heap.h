@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/intern.h"
+#include "http/eviction/policy.h"
 #include "util/time.h"
 
 namespace webcc::http::eviction {
@@ -27,7 +27,7 @@ namespace webcc::http::eviction {
 struct ExpiryRecord {
   Time expires = 0;
   std::uint64_t stamp = 0;
-  core::InternId key = core::kNoInternId;
+  EntryKey key = kNoEntryKey;
 };
 
 class ExpiryHeap {
@@ -38,7 +38,7 @@ class ExpiryHeap {
 
   const ExpiryRecord& Top() const { return records_.front(); }
 
-  void Push(Time expires, std::uint64_t stamp, core::InternId key) {
+  void Push(Time expires, std::uint64_t stamp, EntryKey key) {
     records_.push_back(ExpiryRecord{expires, stamp, key});
     std::push_heap(records_.begin(), records_.end(), Later);
     ++live_;

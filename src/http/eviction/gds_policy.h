@@ -67,7 +67,7 @@ class GdsPolicy : public EvictionPolicy {
   struct HeapRecord {
     double h = 0.0;
     std::uint64_t order = 0;
-    core::InternId key = core::kNoInternId;
+    EntryKey key = kNoEntryKey;
   };
 
   // Min-heap by (h, order): ties in credit evict the older record first.
@@ -101,7 +101,7 @@ class GdsPolicy : public EvictionPolicy {
 
   double inflation_ = 0.0;
   std::uint64_t next_order_ = 0;
-  std::unordered_map<core::InternId, Credit_> live_;
+  std::unordered_map<EntryKey, Credit_> live_;
   std::vector<HeapRecord> heap_;
 };
 

@@ -2,8 +2,8 @@
 // every victim choice the proxy cache makes.
 //
 // This repeats the refactor shape of core/consistency (PR 3): the cache
-// owns all entry storage and indexes — the LRU list, the interned key/url
-// maps, and the TTL expiry heap — and the policy is a pure strategy that is
+// owns all entry storage and indexes — the LRU list, the (site, doc) entry
+// index, and the TTL expiry heap — and the policy is a pure strategy that is
 // notified of entry lifecycle events (OnInsert/OnHit/OnErase) and asked to
 // choose victims (PickVictim). The policy reads the cache's indexes through
 // the narrow EvictionHost view instead of duplicating them, so the
@@ -21,7 +21,7 @@
 //                    H = L + 1/size (inflation L)       + a lazy min-heap
 //
 // Policies never allocate entry storage and never see strings: entries are
-// identified by their interned key id (core::InternId).
+// identified by their packed (site, doc) key (EntryKey).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,6 @@
 #include <memory>
 #include <string_view>
 
-#include "core/intern.h"
 #include "obs/metrics.h"
 #include "util/time.h"
 
@@ -44,6 +43,10 @@ namespace eviction {
 
 enum class EvictionPolicyKind { kLru, kExpiredFirstLru, kGds };
 
+// An entry's identity: core::PackSiteDoc(site, doc).
+using EntryKey = std::uint64_t;
+inline constexpr EntryKey kNoEntryKey = ~EntryKey{0};
+
 // Stable spellings for flags and metrics: "lru", "expired-first", "gds".
 std::string_view ToString(EvictionPolicyKind kind);
 // Parses a ToString spelling. Returns false (leaving `out` untouched) for
@@ -55,14 +58,14 @@ std::string_view ValidEvictionPolicyNames();
 // stamp (monotone insertion/update order, shared with the TTL heap), so
 // every policy's tie-breaks agree with TtlHeapItem's ordering.
 struct EntryView {
-  core::InternId key = core::kNoInternId;
+  EntryKey key = kNoEntryKey;
   std::uint64_t size_bytes = 0;
   Time ttl_expires = kNeverExpires;
   std::uint64_t stamp = 0;
 };
 
 struct Victim {
-  core::InternId key = core::kNoInternId;
+  EntryKey key = kNoEntryKey;
   // The expired-first rule chose it (kEviction trace detail 1).
   bool expired_rule = false;
 };
@@ -83,7 +86,7 @@ class EvictionHost {
 
   // Key of the least-recently-used tier-1 entry. Never called on an empty
   // tier.
-  virtual core::InternId LruTailKey() const = 0;
+  virtual EntryKey LruTailKey() const = 0;
 
   // The cache's lazy-deletion TTL expiry heap (shared with TakeExpired).
   virtual ExpiryHeap& TtlHeap() = 0;
@@ -91,19 +94,18 @@ class EvictionHost {
   // True when (key, stamp) names the live heap record of a resident entry:
   // the entry exists, carries this stamp, and its record has not been
   // consumed by TakeExpired.
-  virtual bool TtlRecordLive(core::InternId key,
-                             std::uint64_t stamp) const = 0;
+  virtual bool TtlRecordLive(EntryKey key, std::uint64_t stamp) const = 0;
 
   // The policy is about to pop `key`'s live heap record (the expired-first
   // victim path); the cache clears its record-live flag so the entry's
   // later removal does not double-count the record as newly stale.
-  virtual void NoteTtlRecordConsumed(core::InternId key) = 0;
+  virtual void NoteTtlRecordConsumed(EntryKey key) = 0;
 
   // True when `key` resides in tier 1 and may be returned as a victim. TTL
   // records cover both tiers (TakeExpired needs them), but only tier-1
   // entries are the policy's to evict; tier 2 reclaims its own expired
   // entries. Always true with tiering off.
-  virtual bool InEvictableTier(core::InternId key) const = 0;
+  virtual bool InEvictableTier(EntryKey key) const = 0;
 };
 
 class EvictionPolicy {

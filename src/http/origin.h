@@ -47,6 +47,9 @@ class OriginServer {
   // std::nullopt when the URL does not exist (the replay's traces only
   // reference known documents, but live mode can see arbitrary URLs).
   // The reply's lease_until is kNoLease; the accelerator stamps leases.
+  std::optional<net::DocReply> Handle(const net::DocRequest& request,
+                                      Time now) const;
+  // String entry point: resolves the URL and answers through the id path.
   std::optional<net::Reply> Handle(const net::Request& request,
                                    Time now) const;
 

@@ -3,14 +3,31 @@
 #include <algorithm>
 #include <utility>
 
+#include "http/cache_key.h"
 #include "util/check.h"
 
 namespace webcc::http {
 
-CacheEntry* ProxyCache::Lookup(const std::string& key, Time now) {
-  const core::InternId id = keys_.Find(key);
-  if (id == core::kNoInternId) return nullptr;
-  const auto it = index_.find(id);
+ProxyCache::ProxyCache(std::uint64_t capacity_bytes, ReplacementPolicy policy,
+                       TierConfig tier, core::IdSpace* ids)
+    : capacity_bytes_(capacity_bytes),
+      tier_(tier),
+      policy_(eviction::MakeEvictionPolicy(policy)),
+      owned_ids_(ids == nullptr ? std::make_unique<core::IdSpace>() : nullptr),
+      ids_(ids == nullptr ? owned_ids_.get() : ids) {}
+
+bool ProxyCache::ResolveKey(const std::string& key, core::SiteId& site,
+                            core::DocId& doc) const {
+  std::string_view url;
+  std::string_view owner;
+  if (!SplitCacheKey(key, url, owner)) return false;
+  doc = ids_->docs.Find(url);
+  site = ids_->sites.Find(owner);
+  return doc != core::kNoInternId && site != core::kNoInternId;
+}
+
+CacheEntry* ProxyCache::Lookup(core::SiteId site, core::DocId doc, Time now) {
+  const auto it = index_.find(core::PackSiteDoc(site, doc));
   if (it == index_.end()) return nullptr;
   CacheEntry& entry = *it->second;
   if (entry.tier2_) {
@@ -30,16 +47,26 @@ CacheEntry* ProxyCache::Lookup(const std::string& key, Time now) {
   return &*it->second;
 }
 
-CacheEntry* ProxyCache::Peek(const std::string& key) {
-  const core::InternId id = keys_.Find(key);
-  if (id == core::kNoInternId) return nullptr;
-  const auto it = index_.find(id);
+CacheEntry* ProxyCache::Lookup(const std::string& key, Time now) {
+  core::SiteId site;
+  core::DocId doc;
+  return ResolveKey(key, site, doc) ? Lookup(site, doc, now) : nullptr;
+}
+
+CacheEntry* ProxyCache::Peek(core::SiteId site, core::DocId doc) {
+  const auto it = index_.find(core::PackSiteDoc(site, doc));
   return it == index_.end() ? nullptr : &*it->second;
+}
+
+CacheEntry* ProxyCache::Peek(const std::string& key) {
+  core::SiteId site;
+  core::DocId doc;
+  return ResolveKey(key, site, doc) ? Peek(site, doc) : nullptr;
 }
 
 void ProxyCache::PushTtlItem(CacheEntry& entry) {
   if (entry.ttl_expires == kNeverExpires) return;
-  ttl_heap_.Push(entry.ttl_expires, entry.heap_stamp_, entry.key_id_);
+  ttl_heap_.Push(entry.ttl_expires, entry.heap_stamp_, KeyOf(entry));
   entry.heap_record_live_ = true;
 }
 
@@ -55,10 +82,21 @@ std::uint64_t ProxyCache::DemotionWatermark() const {
                                     static_cast<double>(capacity_bytes_));
 }
 
+void ProxyCache::EmitEviction(const CacheEntry& entry, Time now,
+                              std::int64_t detail) {
+  obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
+                          .at = now,
+                          .url = ids_->DocName(entry.doc),
+                          .site = ids_->SiteName(entry.site),
+                          .detail = detail});
+}
+
 void ProxyCache::Insert(CacheEntry entry, Time now) {
-  entry.key_id_ = keys_.Intern(entry.key);
-  entry.url_id_ = urls_.Intern(entry.url);
-  EraseById(entry.key_id_);  // replace semantics
+  if (entry.doc == core::kNoInternId) entry.doc = ids_->docs.Intern(entry.url);
+  if (entry.site == core::kNoInternId) {
+    entry.site = ids_->sites.Intern(entry.owner);
+  }
+  EraseByKey(KeyOf(entry));  // replace semantics
   if (tier_.enabled()) Tier2TtlCleanup(now);
   if (entry.size_bytes > capacity_bytes_) {
     // Too large for tier 1; the second tier takes it when it fits there.
@@ -67,11 +105,7 @@ void ProxyCache::Insert(CacheEntry entry, Time now) {
       return;
     }
     ++stats_.oversize_rejections;
-    obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
-                            .at = now,
-                            .url = entry.url,
-                            .site = entry.owner,
-                            .detail = 2});
+    EmitEviction(entry, now, 2);
     return;  // uncacheable
   }
   while (bytes_used_ + entry.size_bytes > capacity_bytes_) DisplaceOne(now);
@@ -80,8 +114,7 @@ void ProxyCache::Insert(CacheEntry entry, Time now) {
   bytes_used_ += entry.size_bytes;
   ++stats_.insertions;
   lru_.push_front(std::move(entry));
-  index_[lru_.front().key_id_] = lru_.begin();
-  url_index_[lru_.front().url_id_].push_back(lru_.front().key_id_);
+  Index(lru_.begin());
   PushTtlItem(lru_.front());
   policy_->OnInsert(ViewOf(lru_.front()));
 
@@ -103,19 +136,28 @@ void ProxyCache::InsertIntoTier2(CacheEntry entry, Time now) {
   tier2_bytes_used_ += entry.size_bytes;
   ++stats_.insertions;
   tier2_lru_.push_front(std::move(entry));
-  index_[tier2_lru_.front().key_id_] = tier2_lru_.begin();
-  url_index_[tier2_lru_.front().url_id_].push_back(
-      tier2_lru_.front().key_id_);
+  Index(tier2_lru_.begin());
   PushTtlItem(tier2_lru_.front());
 }
 
-bool ProxyCache::Erase(const std::string& key) {
-  const core::InternId id = keys_.Find(key);
-  return id != core::kNoInternId && EraseById(id);
+void ProxyCache::Index(LruList::iterator it) {
+  index_[KeyOf(*it)] = it;
+  if (it->doc >= sites_of_doc_.size()) sites_of_doc_.resize(it->doc + 1);
+  sites_of_doc_[it->doc].push_back(it->site);
 }
 
-bool ProxyCache::EraseById(core::InternId key_id) {
-  const auto it = index_.find(key_id);
+bool ProxyCache::Erase(core::SiteId site, core::DocId doc) {
+  return EraseByKey(core::PackSiteDoc(site, doc));
+}
+
+bool ProxyCache::Erase(const std::string& key) {
+  core::SiteId site;
+  core::DocId doc;
+  return ResolveKey(key, site, doc) && Erase(site, doc);
+}
+
+bool ProxyCache::EraseByKey(Key key) {
+  const auto it = index_.find(key);
   if (it == index_.end()) return false;
   ++stats_.erased;
   RemoveEntry(it->second);
@@ -124,13 +166,9 @@ bool ProxyCache::EraseById(core::InternId key_id) {
 
 void ProxyCache::RemoveEntry(LruList::iterator it) {
   if (it->heap_record_live_) ttl_heap_.NoteStale();
-  const auto url_it = url_index_.find(it->url_id_);
-  if (url_it != url_index_.end()) {
-    std::vector<core::InternId>& keys = url_it->second;
-    keys.erase(std::find(keys.begin(), keys.end(), it->key_id_));
-    if (keys.empty()) url_index_.erase(url_it);
-  }
-  index_.erase(it->key_id_);
+  std::vector<core::SiteId>& sites = sites_of_doc_[it->doc];
+  sites.erase(std::find(sites.begin(), sites.end(), it->site));
+  index_.erase(KeyOf(*it));
   if (it->tier2_) {
     tier2_bytes_used_ -= it->size_bytes;
     tier2_lru_.erase(it);
@@ -144,15 +182,14 @@ void ProxyCache::RemoveEntry(LruList::iterator it) {
   CompactTtlHeap();
 }
 
-std::size_t ProxyCache::EraseByUrl(const std::string& url) {
-  const core::InternId url_id = urls_.Find(url);
-  if (url_id == core::kNoInternId) return 0;
-  const auto it = url_index_.find(url_id);
-  if (it == url_index_.end()) return 0;
-  // Copy out: EraseById mutates the vector we are iterating.
-  const std::vector<core::InternId> keys = it->second;
+std::size_t ProxyCache::EraseByUrl(core::DocId doc) {
+  if (doc >= sites_of_doc_.size()) return 0;
+  // Copy out: EraseByKey mutates the vector we are iterating.
+  const std::vector<core::SiteId> sites = sites_of_doc_[doc];
   std::size_t erased = 0;
-  for (const core::InternId key_id : keys) erased += EraseById(key_id);
+  for (const core::SiteId site : sites) {
+    erased += EraseByKey(core::PackSiteDoc(site, doc));
+  }
   return erased;
 }
 
@@ -185,23 +222,22 @@ void ProxyCache::SetTtlExpiry(CacheEntry& entry, Time expires) {
   CompactTtlHeap();
 }
 
-core::InternId ProxyCache::LruTailKey() const {
-  return std::prev(lru_.end())->key_id_;
+ProxyCache::Key ProxyCache::LruTailKey() const {
+  return KeyOf(*std::prev(lru_.end()));
 }
 
-bool ProxyCache::TtlRecordLive(core::InternId key,
-                               std::uint64_t stamp) const {
+bool ProxyCache::TtlRecordLive(Key key, std::uint64_t stamp) const {
   const auto it = index_.find(key);
   return it != index_.end() && it->second->heap_stamp_ == stamp;
 }
 
-void ProxyCache::NoteTtlRecordConsumed(core::InternId key) {
+void ProxyCache::NoteTtlRecordConsumed(Key key) {
   const auto it = index_.find(key);
   WEBCC_CHECK_MSG(it != index_.end(), "consuming a record with no entry");
   it->second->heap_record_live_ = false;
 }
 
-bool ProxyCache::InEvictableTier(core::InternId key) const {
+bool ProxyCache::InEvictableTier(Key key) const {
   const auto it = index_.find(key);
   return it != index_.end() && !it->second->tier2_;
 }
@@ -236,19 +272,8 @@ void ProxyCache::DisplaceOne(Time now) {
 void ProxyCache::EvictEntry(LruList::iterator it, Time now,
                             bool expired_rule) {
   ++stats_.evictions;
-  if (expired_rule) {
-    ++stats_.expired_evictions;
-    obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
-                            .at = now,
-                            .url = it->url,
-                            .site = it->owner,
-                            .detail = 1});
-  } else {
-    obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
-                            .at = now,
-                            .url = it->url,
-                            .site = it->owner});
-  }
+  if (expired_rule) ++stats_.expired_evictions;
+  EmitEviction(*it, now, expired_rule ? 1 : 0);
   RemoveEntry(it);
 }
 
@@ -257,11 +282,7 @@ void ProxyCache::EvictTier2Tail(Time now) {
   const auto victim = std::prev(tier2_lru_.end());
   ++stats_.evictions;
   ++stats_.tier2_evictions;
-  obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
-                          .at = now,
-                          .url = victim->url,
-                          .site = victim->owner,
-                          .detail = 3});
+  EmitEviction(*victim, now, 3);
   RemoveEntry(victim);
 }
 
@@ -291,11 +312,7 @@ void ProxyCache::Tier2TtlCleanup(Time now) {
   }
   for (const LruList::iterator& victim : dead) {
     ++stats_.tier2_expired_cleaned;
-    obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
-                            .at = now,
-                            .url = victim->url,
-                            .site = victim->owner,
-                            .detail = 4});
+    EmitEviction(*victim, now, 4);
     RemoveEntry(victim);
   }
 }

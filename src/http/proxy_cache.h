@@ -1,12 +1,12 @@
 // Client-side proxy cache in the style of Harvest "cached".
 //
-// Entries are namespaced per real client (the replay inserts composite
-// url+client keys built by http::ComposeCacheKey, so one proxy process
-// hosts many independent per-client caches exactly as the paper does).
+// Entries are namespaced per real client: an entry is one (site, document)
+// pair, so one proxy process hosts many independent per-client caches
+// exactly as the paper does.
 //
 // Replacement is delegated to the eviction kernel (src/http/eviction/): the
-// cache owns all storage and indexes — the LRU list, the interned key/url
-// maps, and the TTL expiry heap — and an EvictionPolicy strategy chooses
+// cache owns all storage and indexes — the LRU list, the (site, doc) entry
+// index, and the TTL expiry heap — and an EvictionPolicy strategy chooses
 // every victim through the narrow EvictionHost view. Three policies ship:
 // plain LRU, Harvest's expired-first LRU (the paper traces its SASK
 // hit-ratio anomaly to this policy interacting with adaptive TTL's
@@ -22,10 +22,8 @@
 // tiered cache. With tiering off (the default) behavior is bit-identical
 // to the single-tier cache.
 //
-// Internally every key and URL is interned to a dense integer id
-// (core::Interner): the entry index, the per-URL index, and the TTL heap
-// all key on ids, so a lookup hashes its string exactly once and the heap
-// never copies strings. The public interface stays string-keyed.
+// Entries are keyed by (site, doc) ids in a core::IdSpace (DESIGN.md §16);
+// the string-keyed calls resolve url and owner once and use the id path.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/intern.h"
+#include "core/id_space.h"
 #include "http/eviction/expiry_heap.h"
 #include "http/eviction/policy.h"
 #include "obs/metrics.h"
@@ -66,9 +64,14 @@ struct TierConfig {
 };
 
 struct CacheEntry {
-  std::string key;  // http::ComposeCacheKey(url, owner)
+  // Identity: the document and the real client whose namespaced copy this
+  // is. Insert resolves unset ids from url/owner, the string-facing names
+  // (`key` is ComposeCacheKey(url, owner) and is not consulted).
+  core::DocId doc = core::kNoInternId;
+  core::SiteId site = core::kNoInternId;
+  std::string key;
   std::string url;
-  std::string owner;  // the real client this namespaced entry belongs to
+  std::string owner;
   std::uint64_t size_bytes = 0;
   Time last_modified = 0;
   std::uint64_t version = 0;
@@ -82,8 +85,6 @@ struct CacheEntry {
  private:
   friend class ProxyCache;
   std::uint64_t heap_stamp_ = 0;  // lazy-deletion marker for the TTL heap
-  core::InternId key_id_ = core::kNoInternId;
-  core::InternId url_id_ = core::kNoInternId;
   // This entry's (key, heap_stamp_) record is in the TTL heap and has not
   // been consumed — the heap's exact live count hangs off this flag.
   bool heap_record_live_ = false;
@@ -107,22 +108,23 @@ struct ProxyCacheStats {
 
 class ProxyCache : private eviction::EvictionHost {
  public:
+  // `ids` names the entries; nullptr gives the cache a space of its own.
   ProxyCache(std::uint64_t capacity_bytes, ReplacementPolicy policy,
-             TierConfig tier = TierConfig{})
-      : capacity_bytes_(capacity_bytes),
-        tier_(tier),
-        policy_(eviction::MakeEvictionPolicy(policy)) {}
+             TierConfig tier = TierConfig{}, core::IdSpace* ids = nullptr);
 
   ProxyCache(const ProxyCache&) = delete;
   ProxyCache& operator=(const ProxyCache&) = delete;
 
-  // Returns the entry and promotes it to most-recently-used, or nullptr.
-  // The pointer stays valid until the next Insert/Erase on this cache.
-  // `now` stamps any trace events a tier promotion's pressure resolution
-  // emits; callers without a clock may omit it.
+  // Returns `site`'s copy of `doc` and promotes it to most-recently-used,
+  // or nullptr. The pointer stays valid until the next Insert/Erase on this
+  // cache. `now` stamps any trace events a tier promotion's pressure
+  // resolution emits; callers without a clock may omit it.
+  CacheEntry* Lookup(core::SiteId site, core::DocId doc, Time now = 0);
+  // By http::ComposeCacheKey(url, owner) key.
   CacheEntry* Lookup(const std::string& key, Time now = 0);
 
   // Lookup without the LRU promotion (for metrics/tests).
+  CacheEntry* Peek(core::SiteId site, core::DocId doc);
   CacheEntry* Peek(const std::string& key);
 
   // Inserts (or replaces) an entry, evicting per the policy until it fits.
@@ -132,15 +134,19 @@ class ProxyCache : private eviction::EvictionHost {
   void Insert(CacheEntry entry, Time now);
 
   // Removes an entry (invalidation path). Returns whether it existed.
+  bool Erase(core::SiteId site, core::DocId doc);
   bool Erase(const std::string& key);
 
   // Changes an entry's TTL expiry, keeping the expired-first index in sync.
   // `entry` must be owned by this cache.
   void SetTtlExpiry(CacheEntry& entry, Time expires);
 
-  // Removes every owner's copy of `url` (proxy-wide invalidation, as PSI
+  // Removes every owner's copy of `doc` (proxy-wide invalidation, as PSI
   // performs). Returns the number of entries removed.
-  std::size_t EraseByUrl(const std::string& url);
+  std::size_t EraseByUrl(core::DocId doc);
+  std::size_t EraseByUrl(const std::string& url) {
+    return EraseByUrl(ids_->docs.Find(url));
+  }
 
   // Collects up to `max_items` live entries (either tier) whose TTL has
   // expired at `now`, consuming their expiry-index records: the caller must
@@ -166,6 +172,8 @@ class ProxyCache : private eviction::EvictionHost {
   const ProxyCacheStats& stats() const { return stats_; }
   ReplacementPolicy policy_kind() const { return policy_->kind(); }
   const TierConfig& tier_config() const { return tier_; }
+  // The space the entries are named in (names of evicted entries stay).
+  const core::IdSpace& ids() const { return *ids_; }
 
   // Exposed for the heap-growth regression test: total records including
   // stale ones awaiting compaction.
@@ -186,19 +194,31 @@ class ProxyCache : private eviction::EvictionHost {
  private:
   using LruList = std::list<CacheEntry>;
 
-  // EvictionHost — the policy's window into the indexes.
-  core::InternId LruTailKey() const override;
-  eviction::ExpiryHeap& TtlHeap() override { return ttl_heap_; }
-  bool TtlRecordLive(core::InternId key, std::uint64_t stamp) const override;
-  void NoteTtlRecordConsumed(core::InternId key) override;
-  bool InEvictableTier(core::InternId key) const override;
+  using Key = eviction::EntryKey;  // core::PackSiteDoc(site, doc)
 
+  // EvictionHost — the policy's window into the indexes.
+  Key LruTailKey() const override;
+  eviction::ExpiryHeap& TtlHeap() override { return ttl_heap_; }
+  bool TtlRecordLive(Key key, std::uint64_t stamp) const override;
+  void NoteTtlRecordConsumed(Key key) override;
+  bool InEvictableTier(Key key) const override;
+
+  static Key KeyOf(const CacheEntry& entry) {
+    return core::PackSiteDoc(entry.site, entry.doc);
+  }
   static eviction::EntryView ViewOf(const CacheEntry& entry) {
-    return eviction::EntryView{entry.key_id_, entry.size_bytes,
+    return eviction::EntryView{KeyOf(entry), entry.size_bytes,
                                entry.ttl_expires, entry.heap_stamp_};
   }
+  // The ids a ComposeCacheKey string names; false when either name is
+  // unknown (a lookup of never-seen names must not grow the space).
+  bool ResolveKey(const std::string& key, core::SiteId& site,
+                  core::DocId& doc) const;
+  void EmitEviction(const CacheEntry& entry, Time now, std::int64_t detail);
 
-  bool EraseById(core::InternId key_id);
+  bool EraseByKey(Key key);
+  // Enters a just-placed entry into the index and its doc's site list.
+  void Index(LruList::iterator it);
   // Frees tier-1 space for one entry: the policy's victim is demoted into
   // tier 2 when it fits (and is not already expired), evicted otherwise.
   void DisplaceOne(Time now);
@@ -219,17 +239,15 @@ class ProxyCache : private eviction::EvictionHost {
   std::uint64_t tier2_bytes_used_ = 0;  // tier 2
   std::uint64_t next_stamp_ = 1;
 
-  // Interned namespaces. Ids are dense and never recycled, so the tables
-  // are bounded by the distinct keys/URLs ever inserted, not residency.
-  core::Interner keys_;
-  core::Interner urls_;
+  std::unique_ptr<core::IdSpace> owned_ids_;
+  core::IdSpace* ids_;
 
   LruList lru_;        // tier 1; front = most recently used
   LruList tier2_lru_;  // tier 2; front = most recently touched
-  std::unordered_map<core::InternId, LruList::iterator> index_;  // by key id
-  // url id -> key ids of the entries caching it (one per owner), in
-  // insertion order (keeps EraseByUrl deterministic).
-  std::unordered_map<core::InternId, std::vector<core::InternId>> url_index_;
+  std::unordered_map<Key, LruList::iterator> index_;
+  // Indexed by doc id: the sites holding a copy, in insertion order (keeps
+  // EraseByUrl deterministic).
+  std::vector<std::vector<core::SiteId>> sites_of_doc_;
   eviction::ExpiryHeap ttl_heap_;
   ProxyCacheStats stats_;
   obs::TraceSink* trace_sink_ = nullptr;

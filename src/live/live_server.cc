@@ -76,8 +76,9 @@ std::size_t LiveServer::TouchDocument(const std::string& path) {
   {
     const util::MutexLock lock(mutex_);
     const Time now = Now();
-    if (!docs_.Touch(path, now)) return 0;
-    mod_log_.Record(now, path);
+    const core::DocId doc = docs_.ids().docs.Find(path);
+    if (!docs_.Touch(doc, now)) return 0;
+    mod_log_.Record(now, doc);
     obs::Emit(options_.trace_sink,
               {.type = obs::EventType::kModification, .at = now, .url = path});
     if (fan_out) {
@@ -241,14 +242,17 @@ void LiveServer::HandleConnection(TcpStream stream) {
           std::vector<core::PcvItem> items;
           items.reserve(request->pcv_queries.size());
           for (const net::PcvQuery& query : request->pcv_queries) {
-            items.push_back(
-                core::PcvItem{query.url, query.owner, query.last_modified});
+            items.push_back(core::PcvItem{docs_.ids().docs.Find(query.url),
+                                          core::kNoInternId,
+                                          query.last_modified});
           }
-          for (core::PcvVerdict& verdict :
-               core::ValidatePiggyback(docs_, items)) {
-            if (!verdict.invalid) continue;
-            reply->pcv_invalid.push_back(net::PcvStale{
-                std::move(verdict.url), std::move(verdict.owner)});
+          // Verdicts come back in query order; echo the invalid queries.
+          const std::vector<core::PcvVerdict> verdicts =
+              core::ValidatePiggyback(docs_, items);
+          for (std::size_t i = 0; i < verdicts.size(); ++i) {
+            if (!verdicts[i].invalid) continue;
+            const net::PcvQuery& query = request->pcv_queries[i];
+            reply->pcv_invalid.push_back(net::PcvStale{query.url, query.owner});
           }
         }
         // PSI: attach the documents modified since this proxy's previous
@@ -262,7 +266,9 @@ void LiveServer::HandleConnection(TcpStream stream) {
           core::ModificationLog::Window window = mod_log_.CollectSince(
               cursor, now, options_.piggyback.max_invalidations_per_reply);
           cursor = std::max(cursor, window.advanced_to);
-          reply->psi_modified = std::move(window.urls);
+          for (const core::DocId doc : window.docs) {
+            reply->psi_modified.push_back(docs_.ids().DocName(doc));
+          }
         }
       }
     }

@@ -22,28 +22,58 @@ const char* MessageTypeName(MessageType type) {
   return "?";
 }
 
-std::uint64_t WireSize(const Request& request) {
-  return kControlHeaderBytes + request.url.size() + request.client_id.size();
+Reply ToWire(const DocReply& reply, const core::IdSpace& ids) {
+  Reply out;
+  out.type = reply.type;
+  out.url = ids.DocName(reply.doc);
+  out.body_bytes = reply.body_bytes;
+  out.last_modified = reply.last_modified;
+  out.version = reply.version;
+  out.lease_until = reply.lease_until;
+  return out;
 }
 
-std::uint64_t WireSize(const Reply& reply) {
-  return kControlHeaderBytes + reply.url.size() + reply.body_bytes;
+Invalidation ToWire(const DocInvalidation& invalidation,
+                    const core::IdSpace& ids) {
+  Invalidation out;
+  out.type = invalidation.type;
+  if (invalidation.doc != core::kNoInternId) {
+    out.url = ids.DocName(invalidation.doc);
+  }
+  out.server = std::string(invalidation.server);
+  out.client_id = ids.SiteName(invalidation.site);
+  out.lease_until = invalidation.lease_until;
+  out.recovery = invalidation.recovery;
+  return out;
 }
 
-std::uint64_t WireSize(const Invalidation& invalidation) {
-  return kControlHeaderBytes + invalidation.url.size() +
-         invalidation.server.size() + invalidation.client_id.size();
+std::uint64_t WireSize(const DocRequest& request, const core::IdSpace& ids) {
+  return kControlHeaderBytes + ids.DocName(request.doc).size() +
+         ids.SiteName(request.site).size();
 }
 
-std::uint64_t WireSize(const BatchInvalidation& batch) {
+std::uint64_t WireSize(const DocReply& reply, const core::IdSpace& ids) {
+  return kControlHeaderBytes + ids.DocName(reply.doc).size() +
+         reply.body_bytes;
+}
+
+std::uint64_t WireSize(const DocInvalidation& invalidation,
+                       const core::IdSpace& ids) {
+  const std::uint64_t url_bytes =
+      invalidation.doc == core::kNoInternId
+          ? 0
+          : ids.DocName(invalidation.doc).size();
+  return kControlHeaderBytes + url_bytes + invalidation.server.size() +
+         ids.SiteName(invalidation.site).size();
+}
+
+std::uint64_t BatchWireSize(core::SiteId site,
+                            const std::vector<core::DocId>& docs,
+                            const core::IdSpace& ids) {
   // One header amortized over the whole URL list — the point of batching.
-  std::uint64_t bytes = kControlHeaderBytes + batch.client_id.size();
-  for (const std::string& url : batch.urls) bytes += url.size();
+  std::uint64_t bytes = kControlHeaderBytes + ids.SiteName(site).size();
+  for (const core::DocId doc : docs) bytes += ids.DocName(doc).size();
   return bytes;
-}
-
-std::uint64_t WireSize(const Notify& notify) {
-  return kControlHeaderBytes + notify.url.size();
 }
 
 }  // namespace webcc::net

@@ -12,8 +12,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/id_space.h"
 #include "util/time.h"
 
 namespace webcc::net {
@@ -112,6 +114,41 @@ struct Notify {
   std::string url;
 };
 
+// --- id-typed messages ------------------------------------------------------
+// The replay's simulated traffic: the messages above with the document and
+// site named by ids in the run's core::IdSpace (DESIGN.md §16).
+
+struct DocRequest {
+  MessageType type = MessageType::kGet;  // kGet or kIfModifiedSince
+  core::DocId doc = core::kNoInternId;
+  core::SiteId site = core::kNoInternId;  // the requesting real client
+  Time if_modified_since = 0;             // ignored for kGet
+};
+
+struct DocReply {
+  MessageType type = MessageType::kReply200;  // kReply200 or kReply304
+  core::DocId doc = core::kNoInternId;
+  std::uint64_t body_bytes = 0;  // unscaled; 0 for 304s
+  Time last_modified = 0;
+  std::uint64_t version = 0;
+  Time lease_until = kNoLease;
+};
+
+struct DocInvalidation {
+  MessageType type = MessageType::kInvalidateUrl;
+  core::DocId doc = core::kNoInternId;  // kNoInternId for kInvalidateServer
+  core::SiteId site = core::kNoInternId;
+  // kInvalidateServer: a view of the accelerator's server name.
+  std::string_view server;
+  Time lease_until = kNoLease;  // bookkeeping, as on Invalidation
+  bool recovery = false;
+};
+
+// The string form of an id-typed reply or invalidation.
+Reply ToWire(const DocReply& reply, const core::IdSpace& ids);
+Invalidation ToWire(const DocInvalidation& invalidation,
+                    const core::IdSpace& ids);
+
 // --- wire-size accounting --------------------------------------------------
 // Sizes used for the byte columns of Tables 3/4: a typical HTTP header
 // footprint plus variable parts, with 200 replies adding their body.
@@ -121,10 +158,14 @@ struct Notify {
 
 inline constexpr std::uint64_t kControlHeaderBytes = 180;
 
-std::uint64_t WireSize(const Request& request);
-std::uint64_t WireSize(const Reply& reply);
-std::uint64_t WireSize(const Invalidation& invalidation);
-std::uint64_t WireSize(const BatchInvalidation& batch);
-std::uint64_t WireSize(const Notify& notify);
+// The variable parts are the message's names, measured in `ids`.
+std::uint64_t WireSize(const DocRequest& request, const core::IdSpace& ids);
+std::uint64_t WireSize(const DocReply& reply, const core::IdSpace& ids);
+std::uint64_t WireSize(const DocInvalidation& invalidation,
+                       const core::IdSpace& ids);
+// An INVB frame to `site` carrying `docs` (BatchInvalidation's size).
+std::uint64_t BatchWireSize(core::SiteId site,
+                            const std::vector<core::DocId>& docs,
+                            const core::IdSpace& ids);
 
 }  // namespace webcc::net

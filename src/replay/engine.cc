@@ -1,14 +1,12 @@
 #include "replay/engine.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/lease.h"
-#include "http/cache_key.h"
 #include "obs/event.h"
 #include "replay/engine_impl.h"
 #include "synth/generate.h"
@@ -39,7 +37,8 @@ void Engine::Setup() {
   drain_scheduled_.assign(num_shards, 0);
 
   // Document store with pre-trace ages so adaptive TTL sees a realistic age
-  // distribution at t = 0 (files on a real server predate the log).
+  // distribution at t = 0 (files on a real server predate the log). Adding
+  // the trace's documents in order seeds the id space: DocId == doc id.
   util::Rng rng(config_.seed);
   for (const trace::DocumentInfo& doc : trace_.documents) {
     const Time initial_age =
@@ -47,9 +46,35 @@ void Engine::Setup() {
             ? config_.fixed_initial_age
             : static_cast<Time>(util::SampleExponential(
                   rng, static_cast<double>(config_.mean_lifetime)));
-    docs_.Add(doc.path, doc.size_bytes, -initial_age);
+    WEBCC_CHECK_MSG(docs_.Add(doc.path, doc.size_bytes, -initial_age),
+                    "trace names a document twice: " + doc.path);
   }
   origin_ = std::make_unique<http::OriginServer>(docs_);
+  mod_times_.resize(trace_.documents.size());
+  writes_in_progress_.assign(trace_.documents.size(), 0);
+
+  // Site ids: the trace's clients (SiteId == ClientId), then each
+  // pseudo-client's proxy site, then (hierarchy only) the parent. The
+  // engine's site names must not collide with a client's.
+  for (std::size_t c = 0; c < trace_.clients.size(); ++c) {
+    WEBCC_CHECK_MSG(ids_.sites.Intern(trace_.clients[c]) == c,
+                    "trace names a client twice: " + trace_.clients[c]);
+    pseudo_of_site_.push_back(
+        static_cast<int>(c % config_.num_pseudo_clients));
+  }
+  first_proxy_site_ = static_cast<core::SiteId>(trace_.clients.size());
+  for (std::uint32_t i = 0; i < config_.num_pseudo_clients; ++i) {
+    WEBCC_CHECK_MSG(ids_.sites.Intern("proxy-" + std::to_string(i)) ==
+                        ProxySite(static_cast<int>(i)),
+                    "a trace client is named proxy-" + std::to_string(i));
+    pseudo_of_site_.push_back(static_cast<int>(i));
+  }
+  if (config_.hierarchical) {
+    parent_site_ = ids_.sites.Intern("parent");
+    WEBCC_CHECK_MSG(parent_site_ == pseudo_of_site_.size(),
+                    "a trace client is named parent");
+    pseudo_of_site_.push_back(-1);
+  }
 
   clients_.resize(config_.num_pseudo_clients);
   for (std::uint32_t i = 0; i < config_.num_pseudo_clients; ++i) {
@@ -58,18 +83,10 @@ void Engine::Setup() {
     pc.node = static_cast<sim::NodeId>(i);
     pc.cache = std::make_unique<http::ProxyCache>(
         config_.proxy_cache_bytes, config_.eviction_policy,
-        config_.proxy_tier);
+        config_.proxy_tier, &ids_);
     pc.cache->set_trace_sink(sink_);
   }
   psi_last_contact_.assign(config_.num_pseudo_clients, 0);
-  for (std::size_t c = 0; c < trace_.clients.size(); ++c) {
-    pseudo_of_client_[trace_.clients[c]] =
-        static_cast<int>(c % config_.num_pseudo_clients);
-  }
-  for (std::uint32_t i = 0; i < config_.num_pseudo_clients; ++i) {
-    proxy_site_names_.push_back("proxy-" + std::to_string(i));
-    pseudo_of_client_[proxy_site_names_.back()] = static_cast<int>(i);
-  }
   // Size each pseudo-client's slice exactly (a counting pass is cheaper
   // than the doubling reallocations of tens of thousands of push_backs).
   std::vector<std::size_t> slice_sizes(config_.num_pseudo_clients, 0);
@@ -188,10 +205,10 @@ void Engine::Setup() {
                     "protocol only");
     parent_cache_ = std::make_unique<http::ProxyCache>(
         config_.proxy_cache_bytes * 4, config_.eviction_policy,
-        config_.proxy_tier);
+        config_.proxy_tier, &ids_);
     parent_cache_->set_trace_sink(sink_);
     parent_table_ = std::make_unique<core::InvalidationTable>(
-        core::LeaseConfig{});
+        core::LeaseConfig{}, ids_);
     parent_table_->set_trace_sink(sink_);
     parent_cpu_ = std::make_unique<sim::FifoStation>(sim_, "parent-cpu");
   }
@@ -355,7 +372,7 @@ void Engine::ApplyFailure(const FailureEvent& event) {
       obs::Emit(sink_, {.type = obs::EventType::kNodeCrash,
                         .at = sim_.now(),
                         .trace_time = event.trace_time,
-                        .site = proxy_site_names_[event.target]});
+                        .site = ids_.SiteName(ProxySite(event.target))});
       break;
     }
     case FailureKind::kProxyRecover: {
@@ -368,7 +385,7 @@ void Engine::ApplyFailure(const FailureEvent& event) {
       obs::Emit(sink_, {.type = obs::EventType::kNodeRestart,
                         .at = sim_.now(),
                         .trace_time = event.trace_time,
-                        .site = proxy_site_names_[event.target]});
+                        .site = ids_.SiteName(ProxySite(event.target))});
       break;
     }
     case FailureKind::kServerCrash:
@@ -416,15 +433,12 @@ void Engine::IssueNext(PseudoClient& pc) {
   const trace::TraceRecord& record = pc.records[pc.cursor++];
   ++metrics_.requests_issued;
 
-  const std::string& url = DocPath(record.doc);
   // Shared mode: the whole proxy is one site (the firewall deployment of
   // Section 7) — one cache namespace and one invalidation target per proxy.
-  const std::string& owner = config_.shared_proxy_cache
-                                 ? proxy_site_names_[pc.index]
-                                 : trace_.clients[record.client];
+  const core::SiteId owner =
+      config_.shared_proxy_cache ? ProxySite(pc.index) : record.client;
   const Time trace_time = record.timestamp;
-  http::CacheEntry* entry =
-      pc.cache->Lookup(http::ComposeCacheKey(url, owner), trace_time);
+  http::CacheEntry* entry = pc.cache->Lookup(owner, record.doc, trace_time);
 
   bool validate = false;       // IMS instead of a full GET
   bool lease_renewal = false;  // the IMS exists only because a lease lapsed
@@ -439,16 +453,16 @@ void Engine::IssueNext(PseudoClient& pc) {
     lease_renewal = decision.lease_renewal;
   }
 
-  net::Request request;
-  request.url = url;
-  request.client_id = owner;
+  net::DocRequest request;
+  request.doc = record.doc;
+  request.site = owner;
   if (validate) {
     request.type = net::MessageType::kIfModifiedSince;
     request.if_modified_since = entry->last_modified;
   } else {
     request.type = net::MessageType::kGet;
   }
-  SendToServer(pc, std::move(request), trace_time, lease_renewal);
+  SendToServer(pc, request, trace_time, lease_renewal);
 }
 
 void Engine::FinishRequest(PseudoClient& pc, Time latency) {
@@ -466,9 +480,7 @@ void Engine::CheckStaleness(const PseudoClient& pc,
   metrics_.stale_age_ms.Record(ToMillis(trace_time - *stale_since));
   obs::StaleKind kind = obs::StaleKind::kWeakProtocol;
   if (Traits().invalidation_callbacks) {
-    const auto it = writes_in_progress_.find(entry.url);
-    if (write_gap_active_ ||
-        (it != writes_in_progress_.end() && it->second > 0)) {
+    if (write_gap_active_ || writes_in_progress_[entry.doc] > 0) {
       // The write has not completed (invalidations still in flight): a stale
       // read here is within the strong-consistency contract.
       ++metrics_.stale_while_invalidation_in_flight;
@@ -478,14 +490,15 @@ void Engine::CheckStaleness(const PseudoClient& pc,
       kind = obs::StaleKind::kStrongViolation;
       WEBCC_LOG_WARN(
           "strong-consistency violation: %s served stale at client %s (proxy %d)",
-          entry.url.c_str(), entry.owner.c_str(), pc.index);
+          ids_.DocName(entry.doc).c_str(), ids_.SiteName(entry.site).c_str(),
+          pc.index);
     }
   }
   obs::Emit(sink_, {.type = obs::EventType::kStaleHit,
                     .at = sim_.now(),
                     .trace_time = trace_time,
-                    .url = entry.url,
-                    .site = entry.owner,
+                    .url = ids_.DocName(entry.doc),
+                    .site = ids_.SiteName(entry.site),
                     .detail = static_cast<std::int64_t>(kind)});
 }
 
@@ -496,14 +509,14 @@ void Engine::LocalServe(PseudoClient& pc, http::CacheEntry& entry,
             {.type = obs::EventType::kRequestServed,
              .at = sim_.now(),
              .trace_time = trace_time,
-             .url = entry.url,
-             .site = entry.owner,
+             .url = ids_.DocName(entry.doc),
+             .site = ids_.SiteName(entry.site),
              .detail = static_cast<std::int64_t>(obs::ServeKind::kLocalHit)});
   CheckStaleness(pc, entry, trace_time);
   FinishRequest(pc, config_.client_costs.proxy_hit_time);
 }
 
-void Engine::SendToServer(PseudoClient& pc, net::Request request,
+void Engine::SendToServer(PseudoClient& pc, const net::DocRequest& request,
                           Time trace_time, bool lease_renewal) {
   const std::uint64_t seq = next_seq_++;
   pc.outstanding = seq;
@@ -514,16 +527,16 @@ void Engine::SendToServer(PseudoClient& pc, net::Request request,
     obs::Emit(sink_, {.type = obs::EventType::kGetSent,
                       .at = sim_.now(),
                       .trace_time = trace_time,
-                      .url = request.url,
-                      .site = request.client_id});
+                      .url = ids_.DocName(request.doc),
+                      .site = ids_.SiteName(request.site)});
   } else {
     ++metrics_.ims_requests;
     if (lease_renewal) ++metrics_.lease_renewal_ims;
     obs::Emit(sink_, {.type = obs::EventType::kImsSent,
                       .at = sim_.now(),
                       .trace_time = trace_time,
-                      .url = request.url,
-                      .site = request.client_id,
+                      .url = ids_.DocName(request.doc),
+                      .site = ids_.SiteName(request.site),
                       .detail = lease_renewal ? 1 : 0});
   }
 
@@ -532,23 +545,21 @@ void Engine::SendToServer(PseudoClient& pc, net::Request request,
   std::uint64_t piggyback_bytes = 0;
   if (Traits().piggyback_validation) {
     std::vector<core::PcvItem> items;
-    const std::string requested_key =
-        http::ComposeCacheKey(request.url, request.client_id);
     for (http::CacheEntry* expired : pc.cache->TakeExpired(
              trace_time, config_.piggyback.max_validations_per_request)) {
-      if (expired->key == requested_key) {
+      if (expired->site == request.site && expired->doc == request.doc) {
         // The request itself validates this entry; leave it indexed.
         pc.cache->SetTtlExpiry(*expired, expired->ttl_expires);
         continue;
       }
-      items.push_back(core::PcvItem{expired->url, expired->owner,
+      items.push_back(core::PcvItem{expired->doc, expired->site,
                                     expired->last_modified});
     }
     metrics_.pcv_items_piggybacked += items.size();
-    piggyback_bytes = core::PcvRequestExtraBytes(items);
+    piggyback_bytes = core::PcvRequestExtraBytes(items, ids_);
     if (!items.empty()) pcv_in_flight_[seq] = std::move(items);
   }
-  metrics_.message_bytes += net::WireSize(request) + piggyback_bytes;
+  metrics_.message_bytes += net::WireSize(request, ids_) + piggyback_bytes;
 
   // Reply timeout: the closed loop must advance even if the server is dead.
   sim_.After(config_.client_costs.request_timeout, [this, &pc, seq] {
@@ -563,15 +574,13 @@ void Engine::SendToServer(PseudoClient& pc, net::Request request,
   });
 
   // In hierarchical mode leaf misses go to the parent proxy, not the server.
-  const sim::NodeId upstream =
-      config_.hierarchical ? ParentNode() : ServerNode();
-  const std::uint64_t wire = net::WireSize(request) + piggyback_bytes;
   sim_.After(config_.client_costs.proxy_forward_overhead,
-             [this, &pc, request = std::move(request), seq, trace_time, wire,
-              upstream]() mutable {
-               net_.Send(pc.node, upstream, wire,
-                         [this, request = std::move(request),
-                          index = pc.index, seq, trace_time] {
+             [this, &pc, request, seq, trace_time, piggyback_bytes] {
+               const sim::NodeId upstream =
+                   config_.hierarchical ? ParentNode() : ServerNode();
+               net_.Send(pc.node, upstream,
+                         net::WireSize(request, ids_) + piggyback_bytes,
+                         [this, request, index = pc.index, seq, trace_time] {
                            if (config_.hierarchical) {
                              ParentHandle(request, index, seq, trace_time);
                            } else {
@@ -581,15 +590,14 @@ void Engine::SendToServer(PseudoClient& pc, net::Request request,
              });
 }
 
-void Engine::ServerHandle(const net::Request& request, int client_index,
+void Engine::ServerHandle(const net::DocRequest& request, int client_index,
                           std::uint64_t seq, Time trace_time) {
-  std::optional<net::Reply> reply =
+  std::optional<net::DocReply> reply =
       InvalidationMode() ? accel_.HandleRequest(request, trace_time)
                          : origin_->Handle(request, trace_time);
   WEBCC_CHECK_MSG(reply.has_value(), "trace referenced an unknown document");
 
   const bool transfer = reply->type == net::MessageType::kReply200;
-  const http::ServerCosts& costs = config_.server_costs;
   // PCV: bulk-validate the piggybacked batch against the file system.
   std::vector<core::PcvVerdict> verdicts;
   if (const auto it = pcv_in_flight_.find(seq); it != pcv_in_flight_.end()) {
@@ -599,66 +607,79 @@ void Engine::ServerHandle(const net::Request& request, int client_index,
 
   // PSI: attach the documents modified since this proxy's last contact and
   // advance its cursor.
-  std::vector<std::string> psi_urls;
+  std::vector<core::DocId> psi_docs;
   if (Traits().piggyback_invalidation) {
     Time& cursor = psi_last_contact_[client_index];
     core::ModificationLog::Window window = mod_log_.CollectSince(
         cursor, trace_time, config_.piggyback.max_invalidations_per_reply);
     cursor = std::max(cursor, window.advanced_to);
-    psi_urls = std::move(window.urls);
+    psi_docs = std::move(window.docs);
   }
 
   const Time piggyback_cpu =
-      static_cast<Time>(verdicts.size() + psi_urls.size()) *
-      costs.piggyback_item_cpu;
+      static_cast<Time>(verdicts.size() + psi_docs.size()) *
+      config_.server_costs.piggyback_item_cpu;
 
-  // Access log write (all approaches log incoming requests).
+  const Time ready = ChargeServer(transfer, piggyback_cpu);
+  NoteReply(*reply, request.site, trace_time);
+  const std::uint64_t piggyback_bytes =
+      core::PcvReplyExtraBytes(verdicts, ids_) +
+      core::PsiReplyExtraBytes(psi_docs, ids_);
+  metrics_.message_bytes += net::WireSize(*reply, ids_) + piggyback_bytes;
+  ReplyToClient(ServerNode(), ready, client_index, seq, *reply, request.site,
+                piggyback_bytes, trace_time, std::move(verdicts),
+                std::move(psi_docs));
+}
+
+Time Engine::ChargeServer(bool transfer, Time extra_cpu) {
+  const http::ServerCosts& costs = config_.server_costs;
+  // Access log write (all approaches log incoming requests); logging is
+  // asynchronous w.r.t. the reply.
   server_disk_.utilization().AddWrite();
-  const Time log_done = server_disk_.Enqueue(costs.disk_op);
+  server_disk_.Enqueue(costs.disk_op);
   Time ready = server_cpu_.Enqueue(
-      (transfer ? costs.request_cpu_200 : costs.request_cpu_304) +
-      piggyback_cpu);
+      (transfer ? costs.request_cpu_200 : costs.request_cpu_304) + extra_cpu);
   if (transfer) {
     // The file read must complete before the body can be sent.
     server_disk_.utilization().AddRead();
     ready = std::max(ready, server_disk_.Enqueue(costs.disk_op));
   }
-  (void)log_done;  // logging is asynchronous w.r.t. the reply
+  return ready;
+}
 
-  if (transfer) {
-    ++metrics_.replies_200;
-  } else {
-    ++metrics_.replies_304;
-  }
+void Engine::NoteReply(const net::DocReply& reply, core::SiteId site,
+                       Time trace_time) {
+  const bool transfer = reply.type == net::MessageType::kReply200;
+  ++(transfer ? metrics_.replies_200 : metrics_.replies_304);
   obs::Emit(sink_, {.type = transfer ? obs::EventType::kReply200
                                      : obs::EventType::kReply304,
                     .at = sim_.now(),
                     .trace_time = trace_time,
-                    .url = reply->url,
-                    .site = request.client_id});
-  const std::uint64_t piggyback_bytes =
-      core::PcvReplyExtraBytes(verdicts) + core::PsiReplyExtraBytes(psi_urls);
-  metrics_.message_bytes += net::WireSize(*reply) + piggyback_bytes;
+                    .url = ids_.DocName(reply.doc),
+                    .site = ids_.SiteName(site)});
+}
 
+void Engine::ReplyToClient(sim::NodeId from, Time ready, int client_index,
+                           std::uint64_t seq, const net::DocReply& reply,
+                           core::SiteId owner, std::uint64_t piggyback_bytes,
+                           Time trace_time,
+                           std::vector<core::PcvVerdict> verdicts,
+                           std::vector<core::DocId> psi_docs) {
   // Transfer delay uses the scaled-down body, as in the paper's testbed.
   const auto scaled_body = static_cast<std::uint64_t>(
-      static_cast<double>(reply->body_bytes) / config_.size_scale);
+      static_cast<double>(reply.body_bytes) / config_.size_scale);
   const std::uint64_t wire_bytes = net::kControlHeaderBytes +
-                                   reply->url.size() + scaled_body +
-                                   piggyback_bytes;
-
-  sim_.At(ready, [this, client_index, seq, reply = std::move(*reply),
-                  owner = request.client_id, trace_time, wire_bytes,
-                  verdicts = std::move(verdicts),
-                  psi_urls = std::move(psi_urls)]() mutable {
-    net_.Send(ServerNode(), clients_[client_index].node, wire_bytes,
-              [this, client_index, seq, reply = std::move(reply),
-               owner = std::move(owner), trace_time,
+                                   ids_.DocName(reply.doc).size() +
+                                   scaled_body + piggyback_bytes;
+  sim_.At(ready, [this, from, client_index, seq, reply, owner, trace_time,
+                  wire_bytes, verdicts = std::move(verdicts),
+                  psi_docs = std::move(psi_docs)]() mutable {
+    net_.Send(from, clients_[client_index].node, wire_bytes,
+              [this, client_index, seq, reply, owner, trace_time,
                verdicts = std::move(verdicts),
-               psi_urls = std::move(psi_urls)]() mutable {
-                ApplyPiggyback(client_index, verdicts, psi_urls, trace_time);
-                DeliverReply(client_index, seq, std::move(reply),
-                             std::move(owner), trace_time);
+               psi_docs = std::move(psi_docs)] {
+                ApplyPiggyback(client_index, verdicts, psi_docs, trace_time);
+                DeliverReply(client_index, seq, reply, owner, trace_time);
               });
   });
 }
@@ -668,35 +689,32 @@ void Engine::ServerHandle(const net::Request& request, int client_index,
 // purge of its URL).
 void Engine::ApplyPiggyback(int client_index,
                             const std::vector<core::PcvVerdict>& verdicts,
-                            const std::vector<std::string>& psi_urls,
+                            const std::vector<core::DocId>& psi_docs,
                             Time trace_time) {
   PseudoClient& pc = clients_[client_index];
   for (const core::PcvVerdict& verdict : verdicts) {
-    const std::string key =
-        http::ComposeCacheKey(verdict.url, verdict.owner);
-    http::CacheEntry* entry = pc.cache->Peek(key);
+    http::CacheEntry* entry = pc.cache->Peek(verdict.site, verdict.doc);
     if (entry == nullptr) continue;
     if (verdict.invalid) {
-      pc.cache->Erase(key);
+      pc.cache->Erase(verdict.site, verdict.doc);
       ++metrics_.pcv_invalidated;
     } else {
       pc.cache->SetTtlExpiry(*entry,
                              policy_->OnPcvValid(MetaOf(*entry), trace_time));
     }
   }
-  for (const std::string& url : psi_urls) {
+  for (const core::DocId doc : psi_docs) {
     ++metrics_.psi_notices;
-    metrics_.psi_entries_erased += pc.cache->EraseByUrl(url);
+    metrics_.psi_entries_erased += pc.cache->EraseByUrl(doc);
   }
 }
 
-http::CacheEntry Engine::BuildEntry(const net::Reply& reply,
-                                    const std::string& owner,
+http::CacheEntry Engine::BuildEntry(const net::DocReply& reply,
+                                    core::SiteId owner,
                                     Time trace_time) const {
   http::CacheEntry entry;
-  entry.key = http::ComposeCacheKey(reply.url, owner);
-  entry.url = reply.url;
-  entry.owner = owner;
+  entry.doc = reply.doc;
+  entry.site = owner;
   entry.size_bytes = reply.body_bytes;
   entry.last_modified = reply.last_modified;
   entry.version = reply.version;
@@ -709,7 +727,7 @@ http::CacheEntry Engine::BuildEntry(const net::Reply& reply,
 }
 
 void Engine::DeliverReply(int client_index, std::uint64_t seq,
-                          net::Reply reply, std::string owner,
+                          const net::DocReply& reply, core::SiteId owner,
                           Time trace_time) {
   PseudoClient& pc = clients_[client_index];
   if (pc.outstanding != seq) return;  // timed out; late reply dropped
@@ -721,8 +739,8 @@ void Engine::DeliverReply(int client_index, std::uint64_t seq,
         {.type = obs::EventType::kRequestServed,
          .at = sim_.now(),
          .trace_time = trace_time,
-         .url = reply.url,
-         .site = owner,
+         .url = ids_.DocName(reply.doc),
+         .site = ids_.SiteName(owner),
          .detail = static_cast<std::int64_t>(obs::ServeKind::kTransfer)});
     pc.cache->Insert(BuildEntry(reply, owner, trace_time), trace_time);
   } else {
@@ -733,11 +751,10 @@ void Engine::DeliverReply(int client_index, std::uint64_t seq,
         {.type = obs::EventType::kRequestServed,
          .at = sim_.now(),
          .trace_time = trace_time,
-         .url = reply.url,
-         .site = owner,
+         .url = ids_.DocName(reply.doc),
+         .site = ids_.SiteName(owner),
          .detail = static_cast<std::int64_t>(obs::ServeKind::kValidated)});
-    http::CacheEntry* entry =
-        pc.cache->Peek(http::ComposeCacheKey(reply.url, owner));
+    http::CacheEntry* entry = pc.cache->Peek(owner, reply.doc);
     if (entry != nullptr) {
       const core::consistency::ValidateDecision decision =
           policy_->OnValidateReply(MetaOf(reply), trace_time);
@@ -752,23 +769,6 @@ void Engine::DeliverReply(int client_index, std::uint64_t seq,
 }
 
 }  // namespace detail
-
-bool ParseLeafIndex(std::string_view site, int& index) {
-  constexpr std::string_view kPrefix = "leaf-";
-  if (site.substr(0, kPrefix.size()) != kPrefix) return false;
-  const std::string_view digits = site.substr(kPrefix.size());
-  if (digits.empty()) return false;
-  int parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), parsed);
-  // from_chars accepts a leading '-'; site indices are non-negative, and the
-  // whole suffix must be consumed (no "leaf-3x").
-  if (ec != std::errc() || ptr != digits.data() + digits.size() || parsed < 0) {
-    return false;
-  }
-  index = parsed;
-  return true;
-}
 
 ReplayMetrics RunReplay(const ReplayConfig& config) {
   if (config.trace == nullptr && config.scenario != nullptr) {

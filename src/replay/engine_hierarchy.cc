@@ -3,149 +3,116 @@
 // cache, fetches through as site "parent", remembers per-document leaf
 // interest, and forwards invalidations down to the leaves that fetched the
 // document since the last invalidation.
-#include "http/cache_key.h"
 #include "obs/event.h"
-#include "replay/engine.h"
 #include "replay/engine_impl.h"
 
 namespace webcc::replay::detail {
 
-void Engine::ParentHandle(const net::Request& request, int client_index,
+void Engine::ParentHandle(const net::DocRequest& request, int client_index,
                           std::uint64_t seq, Time trace_time) {
-  // Remember this leaf's interest so an invalidation can be forwarded.
-  parent_table_->Register(request.url, "leaf-" + std::to_string(client_index),
+  // Remember this leaf's interest so an invalidation can be forwarded. The
+  // interest table keys on the leaf's proxy site, which names its index.
+  parent_table_->Register(request.doc, ProxySite(client_index),
                           net::MessageType::kGet, trace_time);
 
-  http::CacheEntry* entry = parent_cache_->Lookup(
-      http::ComposeCacheKey(request.url, "parent"), trace_time);
+  http::CacheEntry* entry =
+      parent_cache_->Lookup(parent_site_, request.doc, trace_time);
   if (entry != nullptr && !entry->questionable &&
       request.type == net::MessageType::kGet) {
     // Served from the parent's shared cache: no server involvement.
     ++metrics_.parent_hits;
-    net::Reply reply;
+    net::DocReply reply;
     reply.type = net::MessageType::kReply200;
-    reply.url = request.url;
+    reply.doc = request.doc;
     reply.body_bytes = entry->size_bytes;
     reply.last_modified = entry->last_modified;
     reply.version = entry->version;
-    ++metrics_.replies_200;
-    obs::Emit(sink_, {.type = obs::EventType::kReply200,
-                      .at = sim_.now(),
-                      .trace_time = trace_time,
-                      .url = reply.url,
-                      .site = request.client_id});
-    metrics_.message_bytes += net::WireSize(reply);
-    const auto scaled_body = static_cast<std::uint64_t>(
-        static_cast<double>(reply.body_bytes) / config_.size_scale);
-    const std::uint64_t wire_bytes =
-        net::kControlHeaderBytes + reply.url.size() + scaled_body;
-    const Time ready =
-        parent_cpu_->Enqueue(config_.client_costs.proxy_hit_time);
-    sim_.At(ready, [this, client_index, seq, reply = std::move(reply),
-                    owner = request.client_id, trace_time,
-                    wire_bytes]() mutable {
-      net_.Send(ParentNode(), clients_[client_index].node, wire_bytes,
-                [this, client_index, seq, reply = std::move(reply),
-                 owner = std::move(owner), trace_time]() mutable {
-                  DeliverReply(client_index, seq, std::move(reply),
-                               std::move(owner), trace_time);
-                });
-    });
+    NoteReply(reply, request.site, trace_time);
+    metrics_.message_bytes += net::WireSize(reply, ids_);
+    ReplyToClient(ParentNode(),
+                  parent_cpu_->Enqueue(config_.client_costs.proxy_hit_time),
+                  client_index, seq, reply, request.site,
+                  /*piggyback_bytes=*/0, trace_time);
     return;
   }
 
   // Miss (or a validation): fetch through to the server as "parent".
   ++metrics_.parent_fetches;
   const bool leaf_wanted_body = request.type == net::MessageType::kGet;
-  net::Request upstream = request;
-  std::string owner = request.client_id;
-  upstream.client_id = "parent";
+  net::DocRequest upstream = request;
+  const core::SiteId owner = request.site;
+  upstream.site = parent_site_;
   if (entry != nullptr && request.type == net::MessageType::kGet) {
     // Questionable parent copy revalidates rather than refetching.
     upstream.type = net::MessageType::kIfModifiedSince;
     upstream.if_modified_since = entry->last_modified;
   }
-  const std::uint64_t wire = net::WireSize(upstream);
+  const std::uint64_t wire = net::WireSize(upstream, ids_);
   metrics_.message_bytes += wire;
   net_.Send(ParentNode(), ServerNode(), wire,
-            [this, upstream = std::move(upstream), client_index, seq,
-             owner = std::move(owner), leaf_wanted_body,
-             trace_time]() mutable {
-              ServerHandleForParent(std::move(upstream), client_index, seq,
-                                    std::move(owner), leaf_wanted_body,
-                                    trace_time);
+            [this, upstream, client_index, seq, owner, leaf_wanted_body,
+             trace_time] {
+              ServerHandleForParent(upstream, client_index, seq, owner,
+                                    leaf_wanted_body, trace_time);
             });
 }
 
-void Engine::ServerHandleForParent(net::Request request, int client_index,
-                                   std::uint64_t seq, std::string owner,
-                                   bool leaf_wanted_body, Time trace_time) {
-  std::optional<net::Reply> reply = accel_.HandleRequest(request, trace_time);
+void Engine::ServerHandleForParent(const net::DocRequest& request,
+                                   int client_index, std::uint64_t seq,
+                                   core::SiteId owner, bool leaf_wanted_body,
+                                   Time trace_time) {
+  std::optional<net::DocReply> reply =
+      accel_.HandleRequest(request, trace_time);
   WEBCC_CHECK_MSG(reply.has_value(), "trace referenced an unknown document");
 
-  const bool transfer = reply->type == net::MessageType::kReply200;
-  const http::ServerCosts& costs = config_.server_costs;
-  server_disk_.utilization().AddWrite();
-  server_disk_.Enqueue(costs.disk_op);
-  Time ready = server_cpu_.Enqueue(transfer ? costs.request_cpu_200
-                                            : costs.request_cpu_304);
-  if (transfer) {
-    server_disk_.utilization().AddRead();
-    ready = std::max(ready, server_disk_.Enqueue(costs.disk_op));
-  }
+  const Time ready =
+      ChargeServer(reply->type == net::MessageType::kReply200, 0);
   // Hop-2 replies are counted via parent_fetches; bytes are real traffic.
-  metrics_.message_bytes += net::WireSize(*reply);
+  metrics_.message_bytes += net::WireSize(*reply, ids_);
   const auto scaled_body = static_cast<std::uint64_t>(
       static_cast<double>(reply->body_bytes) / config_.size_scale);
   const std::uint64_t wire_bytes =
-      net::kControlHeaderBytes + reply->url.size() + scaled_body;
+      net::kControlHeaderBytes + ids_.DocName(reply->doc).size() + scaled_body;
 
-  sim_.At(ready, [this, client_index, seq, reply = std::move(*reply),
-                  owner = std::move(owner), leaf_wanted_body, trace_time,
-                  wire_bytes]() mutable {
+  sim_.At(ready, [this, client_index, seq, reply = *reply, owner,
+                  leaf_wanted_body, trace_time, wire_bytes] {
     net_.Send(ServerNode(), ParentNode(), wire_bytes,
-              [this, client_index, seq, reply = std::move(reply),
-               owner = std::move(owner), leaf_wanted_body,
-               trace_time]() mutable {
-                ParentReceiveReply(std::move(reply), client_index, seq,
-                                   std::move(owner), leaf_wanted_body,
-                                   trace_time);
+              [this, client_index, seq, reply, owner, leaf_wanted_body,
+               trace_time] {
+                ParentReceiveReply(reply, client_index, seq, owner,
+                                   leaf_wanted_body, trace_time);
               });
   });
 }
 
-void Engine::ParentReceiveReply(net::Reply reply, int client_index,
-                                std::uint64_t seq, std::string owner,
+void Engine::ParentReceiveReply(net::DocReply reply, int client_index,
+                                std::uint64_t seq, core::SiteId owner,
                                 bool leaf_wanted_body, Time trace_time) {
-  const std::string parent_key = http::ComposeCacheKey(reply.url, "parent");
   if (reply.type == net::MessageType::kReply200) {
     http::CacheEntry entry;
-    entry.key = parent_key;
-    entry.url = reply.url;
-    entry.owner = "parent";
+    entry.doc = reply.doc;
+    entry.site = parent_site_;
     entry.size_bytes = reply.body_bytes;
     entry.last_modified = reply.last_modified;
     entry.version = reply.version;
     entry.fetched_at = trace_time;
     parent_cache_->Insert(std::move(entry), trace_time);
   } else {
-    http::CacheEntry* entry = parent_cache_->Peek(parent_key);
+    http::CacheEntry* entry = parent_cache_->Peek(parent_site_, reply.doc);
     if (entry == nullptr && leaf_wanted_body) {
       // The parent's copy was evicted while this validation was in flight:
       // the 304 certifies a copy that no longer exists. Refetch it so the
       // leaf's GET is answered with a body.
       ++metrics_.parent_fetches;
-      net::Request refetch;
+      net::DocRequest refetch;
       refetch.type = net::MessageType::kGet;
-      refetch.url = reply.url;
-      refetch.client_id = "parent";
-      const std::uint64_t wire = net::WireSize(refetch);
+      refetch.doc = reply.doc;
+      refetch.site = parent_site_;
+      const std::uint64_t wire = net::WireSize(refetch, ids_);
       metrics_.message_bytes += wire;
       net_.Send(ParentNode(), ServerNode(), wire,
-                [this, refetch = std::move(refetch), client_index, seq,
-                 owner = std::move(owner), trace_time]() mutable {
-                  ServerHandleForParent(std::move(refetch), client_index, seq,
-                                        std::move(owner),
+                [this, refetch, client_index, seq, owner, trace_time] {
+                  ServerHandleForParent(refetch, client_index, seq, owner,
                                         /*leaf_wanted_body=*/true, trace_time);
                 });
       return;
@@ -163,111 +130,68 @@ void Engine::ParentReceiveReply(net::Reply reply, int client_index,
   }
 
   // Forward to the leaf (this is the leaf-facing reply).
-  if (reply.type == net::MessageType::kReply200) {
-    ++metrics_.replies_200;
-  } else {
-    ++metrics_.replies_304;
-  }
-  obs::Emit(sink_, {.type = reply.type == net::MessageType::kReply200
-                                ? obs::EventType::kReply200
-                                : obs::EventType::kReply304,
-                    .at = sim_.now(),
-                    .trace_time = trace_time,
-                    .url = reply.url,
-                    .site = owner});
-  metrics_.message_bytes += net::WireSize(reply);
-  const auto scaled_body = static_cast<std::uint64_t>(
-      static_cast<double>(reply.body_bytes) / config_.size_scale);
-  const std::uint64_t wire_bytes =
-      net::kControlHeaderBytes + reply.url.size() + scaled_body;
-  const Time ready = parent_cpu_->Enqueue(config_.client_costs.proxy_hit_time);
-  sim_.At(ready, [this, client_index, seq, reply = std::move(reply),
-                  owner = std::move(owner), trace_time,
-                  wire_bytes]() mutable {
-    net_.Send(ParentNode(), clients_[client_index].node, wire_bytes,
-              [this, client_index, seq, reply = std::move(reply),
-               owner = std::move(owner), trace_time]() mutable {
-                DeliverReply(client_index, seq, std::move(reply),
-                             std::move(owner), trace_time);
-              });
-  });
+  NoteReply(reply, owner, trace_time);
+  metrics_.message_bytes += net::WireSize(reply, ids_);
+  ReplyToClient(ParentNode(),
+                parent_cpu_->Enqueue(config_.client_costs.proxy_hit_time),
+                client_index, seq, reply, owner, /*piggyback_bytes=*/0,
+                trace_time);
 }
 
-void Engine::ParentDeliverInvalidation(const std::string& url,
-                                       std::uint64_t mod_id) {
-  parent_cache_->EraseByUrl(url);
-  ++metrics_.invalidations_delivered;
-  obs::Emit(sink_, {.type = obs::EventType::kInvalidateDelivered,
-                    .at = sim_.now(),
-                    .url = url,
-                    .site = "parent"});
+void Engine::ParentDeliverInvalidation(core::DocId doc, std::uint64_t mod_id) {
+  parent_cache_->EraseByUrl(doc);
+  NoteDelivered(doc, parent_site_);
 
   // Forward to the leaf proxies that fetched this document since the last
   // invalidation; the write completes when they have all been reached. Leaf
   // forwards carry no lease (the parent holds the server-facing lease), so
   // they resolve only by delivery or target death, never by expiry.
-  std::vector<std::string> leaves =
-      parent_table_->TakeSitesForInvalidation(url, sim_.now());
+  const std::vector<core::InvalidationTable::TakenSite> leaves =
+      parent_table_->TakeSitesWithLeases(doc, sim_.now());
   const auto pending = pending_mod_targets_.find(mod_id);
   if (pending != pending_mod_targets_.end()) {
-    for (const std::string& leaf : leaves) {
-      pending->second.delivery.AddTarget(leaf, net::kNoLease);
+    for (const core::InvalidationTable::TakenSite& leaf : leaves) {
+      pending->second.delivery.AddTarget(leaf.site, net::kNoLease);
     }
   }
-  for (const std::string& leaf : leaves) {
-    // The interest table only ever holds names this engine registered, so a
-    // parse failure means the table (not the trace) is corrupt.
-    int index = -1;
-    WEBCC_CHECK_MSG(ParseLeafIndex(leaf, index),
-                    "malformed hierarchy site name: " + leaf);
-    WEBCC_CHECK_MSG(index >= 0 && index < static_cast<int>(clients_.size()),
-                    "hierarchy site name out of range: " + leaf);
+  for (const core::InvalidationTable::TakenSite& leaf : leaves) {
+    const int index = PseudoOf(leaf.site);
     ++metrics_.hierarchy_forwards;
-    net::Invalidation forward;
+    net::DocInvalidation forward;
     forward.type = net::MessageType::kInvalidateUrl;
-    forward.url = url;
-    forward.client_id = leaf;
-    metrics_.message_bytes += net::WireSize(forward);
+    forward.doc = doc;
+    forward.site = leaf.site;
+    metrics_.message_bytes += net::WireSize(forward, ids_);
     net_.SendReliable(
-        ParentNode(), clients_[index].node, net::WireSize(forward),
-        [this, url, index, mod_id, forward] {
-          clients_[index].cache->EraseByUrl(url);
-          ++metrics_.invalidations_delivered;
-          obs::Emit(sink_, {.type = obs::EventType::kInvalidateDelivered,
-                            .at = sim_.now(),
-                            .url = url,
-                            .site = forward.client_id});
-          ResolveWriteTarget(mod_id, forward.client_id, /*dead=*/false);
+        ParentNode(), clients_[index].node, net::WireSize(forward, ids_),
+        [this, index, mod_id, forward] {
+          clients_[index].cache->EraseByUrl(forward.doc);
+          NoteDelivered(forward.doc, forward.site);
+          ResolveWriteTarget(mod_id, forward.site, /*dead=*/false);
         },
         [this, forward, mod_id](sim::Network::SendResult result,
                                 Time done_at) {
           if (result == sim::Network::SendResult::kDelivered) return;
-          ++metrics_.invalidations_refused;
-          obs::Emit(sink_,
-                    {.type = result == sim::Network::SendResult::kGaveUp
-                                 ? obs::EventType::kInvalidateGaveUp
-                                 : obs::EventType::kInvalidateRefused,
-                     .at = done_at,
-                     .url = forward.url,
-                     .site = forward.client_id});
-          ResolveWriteTarget(mod_id, forward.client_id, /*dead=*/true);
+          NoteRefused(result, done_at, ids_.DocName(forward.doc), forward.site);
+          ResolveWriteTarget(mod_id, forward.site, /*dead=*/true);
         },
         /*max_retries=*/-1);
   }
 
   // The parent's own slot (the server targeted "parent") is now resolved.
-  ResolveWriteTarget(mod_id, "parent", /*dead=*/false);
+  ResolveWriteTarget(mod_id, parent_site_, /*dead=*/false);
 }
 
-void Engine::ParentDeliverServerNotice(const net::Invalidation& notice) {
+void Engine::ParentDeliverServerNotice(const net::DocInvalidation& notice) {
   // Server-site recovery reaches the parent, which must assume everything
   // below it may be stale: its own cache and every leaf's become
   // questionable.
   parent_cache_->MarkAllQuestionable();
+  const std::uint64_t wire = net::WireSize(notice, ids_);
   for (PseudoClient& pc : clients_) {
     ++metrics_.hierarchy_forwards;
-    metrics_.message_bytes += net::WireSize(notice);
-    net_.Send(ParentNode(), pc.node, net::WireSize(notice),
+    metrics_.message_bytes += wire;
+    net_.Send(ParentNode(), pc.node, wire,
               [&pc] { pc.cache->MarkAllQuestionable(); });
   }
   FinishRecoveryNotice();

@@ -7,6 +7,9 @@
 // for new and revalidated entries, write fan-out) are delegated to the
 // core::consistency kernel; this class only executes the returned
 // decisions against the simulated caches and network.
+//
+// Every layer keys on the run's one core::IdSpace, seeded from the trace in
+// Setup (DESIGN.md §16); names are looked up only for events and logs.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +46,7 @@ class Engine {
       : config_(config),
         trace_(*config.trace),
         net_(sim_, config.network),
+        docs_(ids_),
         server_cpu_(sim_, "server-cpu"),
         server_disk_(sim_, "server-disk"),
         accel_(docs_, config.lease,
@@ -87,7 +91,7 @@ class Engine {
             .lease_expires = entry.lease_expires,
             .questionable = entry.questionable};
   }
-  static core::consistency::ReplyMeta MetaOf(const net::Reply& reply) {
+  static core::consistency::ReplyMeta MetaOf(const net::DocReply& reply) {
     return {.last_modified = reply.last_modified,
             .lease_until = reply.lease_until};
   }
@@ -104,28 +108,37 @@ class Engine {
   void IssueNext(PseudoClient& pc);
   void FinishRequest(PseudoClient& pc, Time latency);
   void LocalServe(PseudoClient& pc, http::CacheEntry& entry, Time trace_time);
-  void SendToServer(PseudoClient& pc, net::Request request, Time trace_time,
-                    bool lease_renewal);
-  void ServerHandle(const net::Request& request, int client_index,
+  void SendToServer(PseudoClient& pc, const net::DocRequest& request,
+                    Time trace_time, bool lease_renewal);
+  void ServerHandle(const net::DocRequest& request, int client_index,
                     std::uint64_t seq, Time trace_time);
-  void DeliverReply(int client_index, std::uint64_t seq, net::Reply reply,
-                    std::string owner, Time trace_time);
+  // Sends `reply` from `from` to the pseudo-client after the sender is
+  // `ready`; the scaled body sets the transfer delay.
+  void ReplyToClient(sim::NodeId from, Time ready, int client_index,
+                     std::uint64_t seq, const net::DocReply& reply,
+                     core::SiteId owner, std::uint64_t piggyback_bytes,
+                     Time trace_time,
+                     std::vector<core::PcvVerdict> verdicts = {},
+                     std::vector<core::DocId> psi_docs = {});
+  void DeliverReply(int client_index, std::uint64_t seq,
+                    const net::DocReply& reply, core::SiteId owner,
+                    Time trace_time);
   void ApplyPiggyback(int client_index,
                       const std::vector<core::PcvVerdict>& verdicts,
-                      const std::vector<std::string>& psi_urls,
+                      const std::vector<core::DocId>& psi_docs,
                       Time trace_time);
 
   // --- hierarchy: parent proxy (engine_hierarchy.cc) ---------------------------
-  void ParentHandle(const net::Request& request, int client_index,
+  void ParentHandle(const net::DocRequest& request, int client_index,
                     std::uint64_t seq, Time trace_time);
-  void ServerHandleForParent(net::Request request, int client_index,
-                             std::uint64_t seq, std::string owner,
+  void ServerHandleForParent(const net::DocRequest& request, int client_index,
+                             std::uint64_t seq, core::SiteId owner,
                              bool leaf_wanted_body, Time trace_time);
-  void ParentReceiveReply(net::Reply reply, int client_index,
-                          std::uint64_t seq, std::string owner,
+  void ParentReceiveReply(net::DocReply reply, int client_index,
+                          std::uint64_t seq, core::SiteId owner,
                           bool leaf_wanted_body, Time trace_time);
-  void ParentDeliverInvalidation(const std::string& url, std::uint64_t mod_id);
-  void ParentDeliverServerNotice(const net::Invalidation& notice);
+  void ParentDeliverInvalidation(core::DocId doc, std::uint64_t mod_id);
+  void ParentDeliverServerNotice(const net::DocInvalidation& notice);
 
   // --- modifier / invalidation path (engine_invalidation.cc) -------------------
   void ModifierStep();
@@ -133,14 +146,15 @@ class Engine {
   // the modifier may proceed: in serialized mode after every message is
   // delivered (the paper's check-in blocks until the accelerator finishes
   // sending), in decoupled mode immediately.
-  void FanOutInvalidations(std::vector<net::Invalidation> invalidations,
-                           const std::string& url, Time trace_time,
+  void FanOutInvalidations(std::vector<net::DocInvalidation> invalidations,
+                           core::DocId doc, Time trace_time,
                            std::function<void()> on_complete);
-  void SendInvalidation(net::Invalidation invalidation, std::uint64_t mod_id);
-  void DeliverInvalidation(const net::Invalidation& invalidation,
+  void SendInvalidation(const net::DocInvalidation& invalidation,
+                        std::uint64_t mod_id);
+  void DeliverInvalidation(const net::DocInvalidation& invalidation,
                            std::uint64_t mod_id);
   void ResolveFirstAttempt(std::uint64_t mod_id);
-  void CompleteWrite(const std::string& url);
+  void CompleteWrite(core::DocId doc);
   void FinishRecoveryNotice();
   void ServerRecover(Time trace_time);
 
@@ -166,8 +180,24 @@ class Engine {
   void ResolveBatchFirstAttempts(const core::InvalidationOutbox::Batch& batch);
 
   // --- helpers ----------------------------------------------------------------
-  const std::string& DocPath(trace::DocId doc) const {
-    return trace_.documents[doc].path;
+  // Counter + event pairs: each event mirrors the counter bumped with it.
+  void NoteReply(const net::DocReply& reply, core::SiteId site,
+                 Time trace_time);  // replies_200/304
+  void NoteDelivered(core::DocId doc, core::SiteId site);  // delivered
+  void NoteRefused(sim::Network::SendResult result, Time at,
+                   std::string_view url, core::SiteId site);  // refused
+  // Charges the server for one request (the access-log write, CPU, and the
+  // file read behind a 200); returns when its reply is ready.
+  Time ChargeServer(bool transfer, Time extra_cpu);
+  // Pseudo-client `index`'s site in shared-proxy mode ("proxy-<index>").
+  core::SiteId ProxySite(int index) const {
+    return first_proxy_site_ + static_cast<core::SiteId>(index);
+  }
+  // The pseudo-client whose cache a site's entries live in.
+  int PseudoOf(core::SiteId site) const {
+    WEBCC_CHECK_MSG(site < pseudo_of_site_.size() && pseudo_of_site_[site] >= 0,
+                    "message for a site no pseudo-client hosts");
+    return pseudo_of_site_[site];
   }
   // When serving `entry` at trace time `trace_now` returns outdated data
   // *in trace order*, yields the trace time the copy became stale (version
@@ -177,9 +207,7 @@ class Engine {
   // in trace time; such a read linearizes before the write and is fresh.
   std::optional<Time> StaleSince(const http::CacheEntry& entry,
                                  Time trace_now) const {
-    const auto it = mod_times_.find(entry.url);
-    if (it == mod_times_.end()) return std::nullopt;
-    const std::vector<Time>& times = it->second;
+    const std::vector<Time>& times = mod_times_[entry.doc];
     WEBCC_DCHECK(entry.version >= 1);
     const std::size_t obsolete_index = entry.version - 1;
     if (obsolete_index < times.size() && times[obsolete_index] <= trace_now) {
@@ -195,14 +223,15 @@ class Engine {
   }
   void CheckStaleness(const PseudoClient& pc, const http::CacheEntry& entry,
                       Time trace_time);
-  http::CacheEntry BuildEntry(const net::Reply& reply,
-                              const std::string& owner, Time trace_time) const;
+  http::CacheEntry BuildEntry(const net::DocReply& reply, core::SiteId owner,
+                              Time trace_time) const;
 
   const ReplayConfig& config_;
   const trace::Trace& trace_;
 
   sim::Simulator sim_;
   sim::Network net_;
+  core::IdSpace ids_;
   http::DocumentStore docs_;
   sim::FifoStation server_cpu_;
   sim::FifoStation server_disk_;
@@ -218,11 +247,15 @@ class Engine {
   std::unique_ptr<http::OriginServer> origin_;
 
   std::vector<PseudoClient> clients_;
-  std::unordered_map<std::string, int> pseudo_of_client_;
-  std::vector<std::string> proxy_site_names_;  // shared-proxy site identities
+  // Indexed by site id: the pseudo-client hosting that site's cache
+  // entries; -1 for "parent", which is no pseudo-client.
+  std::vector<int> pseudo_of_site_;
+  core::SiteId first_proxy_site_ = 0;
+  core::SiteId parent_site_ = core::kNoInternId;
 
   // Hierarchical mode: the parent proxy's shared cache, its per-document
-  // leaf-interest lists, and its CPU station.
+  // leaf-interest lists (keyed on each leaf's proxy site, so the site id
+  // names the leaf index), and its CPU station.
   std::unique_ptr<http::ProxyCache> parent_cache_;
   std::unique_ptr<core::InvalidationTable> parent_table_;
   std::unique_ptr<sim::FifoStation> parent_cpu_;
@@ -251,13 +284,13 @@ class Engine {
 
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_mod_id_ = 1;
-  // Writes (modifications) whose invalidation fan-out has not finished;
-  // stale serves are legitimate only while the document has one in
+  // Writes (modifications) whose invalidation fan-out has not finished, by
+  // doc id; stale serves are legitimate only while the document has one in
   // progress.
-  std::unordered_map<std::string, int> writes_in_progress_;
+  std::vector<int> writes_in_progress_;
   // Trace times at which each document version became obsolete:
-  // mod_times_[url][v-1] is the modification that superseded version v.
-  std::unordered_map<std::string, std::vector<Time>> mod_times_;
+  // mod_times_[doc][v-1] is the modification that superseded version v.
+  std::vector<std::vector<Time>> mod_times_;
   // PSI server state: the modification log and each proxy's contact cursor.
   core::ModificationLog mod_log_;
   std::vector<Time> psi_last_contact_;
@@ -269,6 +302,7 @@ class Engine {
     // completes when every targeted site has acked, died, or had its lease
     // expire — never by merely giving up.
     core::WriteDelivery delivery;
+    core::DocId doc = core::kNoInternId;  // the modified document
     Time started_trace = 0;  // modification trace time (fan-out start)
     Time started_wall = 0;   // sim wall time the fan-out began
     // Unresolved first transmission attempts: the blocking check-in (the
@@ -281,8 +315,7 @@ class Engine {
   std::unordered_map<std::uint64_t, PendingMod> pending_mod_targets_;
   // Resolves one delivery target (ack or death); completes the write when
   // it was the last outstanding one.
-  void ResolveWriteTarget(std::uint64_t mod_id, std::string_view site,
-                          bool dead);
+  void ResolveWriteTarget(std::uint64_t mod_id, core::SiteId site, bool dead);
   // Records completion metrics/events for a resolved delivery (does not
   // touch the modifier gate, which is first_pending's job).
   void FinishWriteDelivery(PendingMod& pending);

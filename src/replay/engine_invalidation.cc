@@ -5,7 +5,6 @@
 // OnWrite decision; everything here is mechanism.
 #include <algorithm>
 
-#include "http/cache_key.h"
 #include "obs/event.h"
 #include "replay/engine_impl.h"
 
@@ -17,21 +16,21 @@ void Engine::ModifierStep() {
     return;
   }
   const trace::ModEvent& event = modifications_[mod_cursor_++];
-  const std::string& url = DocPath(event.doc);
+  const core::DocId doc = event.doc;
 
   // The touch registers in the file system immediately; for polling, this is
   // the point at which the write is complete. For invalidation the write is
   // in progress from this instant until the fan-out is delivered.
-  docs_.Touch(url, event.at);
-  mod_times_[url].push_back(event.at);
-  mod_log_.Record(event.at, url);
+  docs_.Touch(doc, event.at);
+  mod_times_[doc].push_back(event.at);
+  mod_log_.Record(event.at, doc);
   ++metrics_.modifications_applied;
   obs::Emit(sink_, {.type = obs::EventType::kModification,
                     .at = sim_.now(),
                     .trace_time = event.at,
-                    .url = url});
+                    .url = ids_.DocName(doc)});
   const bool fan_out = policy_->OnWrite().fan_out_invalidations;
-  if (fan_out && !server_down_) ++writes_in_progress_[url];
+  if (fan_out && !server_down_) ++writes_in_progress_[doc];
 
   if (server_down_) {
     // The accelerator is dead: the modification goes unnoticed until the
@@ -44,21 +43,19 @@ void Engine::ModifierStep() {
   // The check-in utility notifies the accelerator; detection happens when
   // the notify is processed.
   server_cpu_.Enqueue(config_.server_costs.notify_cpu,
-                      [this, fan_out, url, at = event.at] {
+                      [this, fan_out, doc, at = event.at] {
                         if (fan_out) {
-                          net::Notify notify{url};
-                          FanOutInvalidations(accel_.HandleNotify(notify, at),
-                                              url, at,
-                                              [this] { ModifierStep(); });
+                          FanOutInvalidations(accel_.HandleNotify(doc, at), doc,
+                                              at, [this] { ModifierStep(); });
                         } else {
                           ModifierStep();
                         }
                       });
 }
 
-void Engine::FanOutInvalidations(std::vector<net::Invalidation> invalidations,
-                                 const std::string& url, Time trace_time,
-                                 std::function<void()> on_complete) {
+void Engine::FanOutInvalidations(
+    std::vector<net::DocInvalidation> invalidations, core::DocId doc,
+    Time trace_time, std::function<void()> on_complete) {
   WEBCC_CHECK(static_cast<bool>(on_complete));
   if (invalidations.empty()) {
     // No site holds a live-leased copy: the write is trivially complete.
@@ -69,22 +66,21 @@ void Engine::FanOutInvalidations(std::vector<net::Invalidation> invalidations,
               {.type = obs::EventType::kWriteComplete,
                .at = sim_.now(),
                .trace_time = trace_time,
-               .url = url,
+               .url = ids_.DocName(doc),
                .detail = static_cast<std::int64_t>(
                    obs::WriteCompleteKind::kNoTargets)});
-    CompleteWrite(url);
+    CompleteWrite(doc);
     sim_.After(0, std::move(on_complete));
     return;
   }
 
   const std::uint64_t mod_id = next_mod_id_++;
   PendingMod& pending = pending_mod_targets_[mod_id];
-  pending.delivery.set_url(url);
+  pending.doc = doc;
   pending.started_trace = trace_time;
   pending.started_wall = sim_.now();
-  for (const net::Invalidation& invalidation : invalidations) {
-    pending.delivery.AddTarget(invalidation.client_id,
-                               invalidation.lease_until);
+  for (const net::DocInvalidation& invalidation : invalidations) {
+    pending.delivery.AddTarget(invalidation.site, invalidation.lease_until);
   }
   pending.first_pending = static_cast<int>(invalidations.size());
   if (config_.serialized_invalidation) {
@@ -96,7 +92,7 @@ void Engine::FanOutInvalidations(std::vector<net::Invalidation> invalidations,
   // All of one modification's invalidations carry the same URL, so they
   // route to one shard: its sender in decoupled mode, the shared server
   // CPU when serialized (the paper's prototype, shard-count invariant).
-  const std::uint32_t shard = accel_.ShardOf(url);
+  const std::uint32_t shard = accel_.ShardOf(doc);
   sim::FifoStation& sender = config_.serialized_invalidation
                                  ? server_cpu_
                                  : *inval_senders_[shard];
@@ -107,12 +103,12 @@ void Engine::FanOutInvalidations(std::vector<net::Invalidation> invalidations,
     // message's bytes; the network fans the copies out.
     ++metrics_.multicast_sends;
     metrics_.invalidations_sent += invalidations.size();
-    metrics_.message_bytes += net::WireSize(invalidations.front());
+    metrics_.message_bytes += net::WireSize(invalidations.front(), ids_);
     last_send_done = sender.Enqueue(
         config_.server_costs.invalidation_send_cpu,
-        [this, invalidations = std::move(invalidations), mod_id]() mutable {
-          for (net::Invalidation& invalidation : invalidations) {
-            SendInvalidation(std::move(invalidation), mod_id);
+        [this, invalidations = std::move(invalidations), mod_id] {
+          for (const net::DocInvalidation& invalidation : invalidations) {
+            SendInvalidation(invalidation, mod_id);
           }
         });
     metrics_.invalidation_time_ms.Record(
@@ -122,22 +118,22 @@ void Engine::FanOutInvalidations(std::vector<net::Invalidation> invalidations,
     // pending per site into one INVB frame after the batch window. Wire
     // bytes are charged at drain time (per frame, the batching win);
     // batch_flush_ms replaces invalidation_time_ms as the push-delay stat.
-    for (const net::Invalidation& invalidation : invalidations) {
+    for (const net::DocInvalidation& invalidation : invalidations) {
       ++metrics_.invalidations_sent;
-      if (outboxes_[shard].Add(invalidation.client_id, url, mod_id,
+      if (outboxes_[shard].Add(invalidation.site, doc, mod_id,
                                fanout_start)) {
         ++metrics_.invalidations_coalesced;
       }
     }
     ScheduleOutboxDrain(shard, config_.invalidation_batch_window);
   } else {
-    for (net::Invalidation& invalidation : invalidations) {
+    for (const net::DocInvalidation& invalidation : invalidations) {
       ++metrics_.invalidations_sent;
-      metrics_.message_bytes += net::WireSize(invalidation);
+      metrics_.message_bytes += net::WireSize(invalidation, ids_);
       last_send_done = sender.Enqueue(
           config_.server_costs.invalidation_send_cpu,
-          [this, invalidation = std::move(invalidation), mod_id]() mutable {
-            SendInvalidation(std::move(invalidation), mod_id);
+          [this, invalidation, mod_id] {
+            SendInvalidation(invalidation, mod_id);
           });
     }
     metrics_.invalidation_time_ms.Record(
@@ -158,11 +154,8 @@ void Engine::ScheduleOutboxDrain(std::uint32_t shard, Time delay) {
 void Engine::DrainOutbox(std::uint32_t shard) {
   core::InvalidationOutbox& outbox = outboxes_[shard];
   if (outbox.empty()) return;
-  const auto ready = [this](const std::string& site) {
-    const auto it = pseudo_of_client_.find(site);
-    WEBCC_CHECK_MSG(it != pseudo_of_client_.end(),
-                    "outbox entry for an unknown client");
-    const sim::NodeId target = clients_[it->second].node;
+  const auto ready = [this](core::SiteId site) {
+    const sim::NodeId target = clients_[PseudoOf(site)].node;
     // A partitioned-but-alive site is held so its entries keep coalescing
     // until the link heals — the dup-write guarantee: two writes during the
     // partition become one frame after it. A down site drains normally; the
@@ -170,14 +163,12 @@ void Engine::DrainOutbox(std::uint32_t shard) {
     return !(!net_.Reachable(ServerNode(), target) && net_.IsNodeUp(target) &&
              net_.IsNodeUp(ServerNode()));
   };
-  std::vector<core::InvalidationOutbox::Batch> batches = outbox.Drain(ready);
+  std::vector<core::InvalidationOutbox::Batch> batches =
+      outbox.Drain(ids_.sites, ready);
   const Time now = sim_.now();
   for (core::InvalidationOutbox::Batch& batch : batches) {
-    net::BatchInvalidation frame;
-    frame.client_id = batch.site;
-    frame.urls = batch.urls;
     ++metrics_.invalidation_frames_sent;
-    metrics_.message_bytes += net::WireSize(frame);
+    metrics_.message_bytes += net::BatchWireSize(batch.site, batch.docs, ids_);
     metrics_.batch_flush_ms.Record(ToMillis(now - batch.oldest_queued));
     inval_senders_[shard]->Enqueue(
         config_.server_costs.invalidation_send_cpu,
@@ -192,14 +183,8 @@ void Engine::DrainOutbox(std::uint32_t shard) {
 }
 
 void Engine::SendInvalidationBatch(core::InvalidationOutbox::Batch batch) {
-  const auto it = pseudo_of_client_.find(batch.site);
-  WEBCC_CHECK_MSG(it != pseudo_of_client_.end(),
-                  "batched invalidation for an unknown client");
-  const sim::NodeId target = clients_[it->second].node;
-  net::BatchInvalidation frame;
-  frame.client_id = batch.site;
-  frame.urls = batch.urls;
-  const std::uint64_t wire = net::WireSize(frame);
+  const sim::NodeId target = clients_[PseudoOf(batch.site)].node;
+  const std::uint64_t wire = net::BatchWireSize(batch.site, batch.docs, ids_);
 
   // Same gating as the unbatched path: a partition that opened between the
   // drain and this send moves the frame to background retry.
@@ -222,15 +207,9 @@ void Engine::SendInvalidationBatch(core::InvalidationOutbox::Batch batch) {
                                     Time done_at) {
         if (result == sim::Network::SendResult::kDelivered) return;
         if (!gate_released) ResolveBatchFirstAttempts(*shared);
-        for (std::size_t i = 0; i < shared->urls.size(); ++i) {
-          ++metrics_.invalidations_refused;
-          obs::Emit(sink_,
-                    {.type = result == sim::Network::SendResult::kGaveUp
-                                 ? obs::EventType::kInvalidateGaveUp
-                                 : obs::EventType::kInvalidateRefused,
-                     .at = done_at,
-                     .url = shared->urls[i],
-                     .site = shared->site});
+        for (std::size_t i = 0; i < shared->docs.size(); ++i) {
+          NoteRefused(result, done_at, ids_.DocName(shared->docs[i]),
+                      shared->site);
           for (const std::uint64_t mod_id : shared->write_ids[i]) {
             ResolveWriteTarget(mod_id, shared->site, /*dead=*/true);
           }
@@ -241,15 +220,10 @@ void Engine::SendInvalidationBatch(core::InvalidationOutbox::Batch batch) {
 
 void Engine::DeliverInvalidationBatch(
     const core::InvalidationOutbox::Batch& batch) {
-  const int index = pseudo_of_client_.at(batch.site);
-  PseudoClient& pc = clients_[index];
-  for (std::size_t i = 0; i < batch.urls.size(); ++i) {
-    pc.cache->Erase(http::ComposeCacheKey(batch.urls[i], batch.site));
-    ++metrics_.invalidations_delivered;
-    obs::Emit(sink_, {.type = obs::EventType::kInvalidateDelivered,
-                      .at = sim_.now(),
-                      .url = batch.urls[i],
-                      .site = batch.site});
+  PseudoClient& pc = clients_[PseudoOf(batch.site)];
+  for (std::size_t i = 0; i < batch.docs.size(); ++i) {
+    pc.cache->Erase(batch.site, batch.docs[i]);
+    NoteDelivered(batch.docs[i], batch.site);
     // A coalesced entry acks every write it absorbed — the one-frame-on-
     // heal guarantee for a site partitioned through multiple writes.
     for (const std::uint64_t mod_id : batch.write_ids[i]) {
@@ -265,20 +239,13 @@ void Engine::ResolveBatchFirstAttempts(
   }
 }
 
-void Engine::SendInvalidation(net::Invalidation invalidation,
+void Engine::SendInvalidation(const net::DocInvalidation& invalidation,
                               std::uint64_t mod_id) {
-  sim::NodeId target;
   const bool to_parent =
-      config_.hierarchical && invalidation.client_id == "parent";
-  if (to_parent) {
-    target = ParentNode();
-  } else {
-    const auto it = pseudo_of_client_.find(invalidation.client_id);
-    WEBCC_CHECK_MSG(it != pseudo_of_client_.end(),
-                    "invalidation for an unknown client");
-    target = clients_[it->second].node;
-  }
-  const std::uint64_t wire = net::WireSize(invalidation);
+      config_.hierarchical && invalidation.site == parent_site_;
+  const sim::NodeId target =
+      to_parent ? ParentNode() : clients_[PseudoOf(invalidation.site)].node;
+  const std::uint64_t wire = net::WireSize(invalidation, ids_);
 
   // A send that hits a partition is queued for periodic background retry;
   // the blocking check-in does not wait for it. A reachable target gates
@@ -300,7 +267,7 @@ void Engine::SendInvalidation(net::Invalidation invalidation,
         if (!gate_released) ResolveFirstAttempt(mod_id);
         if (to_parent) {
           if (invalidation.type == net::MessageType::kInvalidateUrl) {
-            ParentDeliverInvalidation(invalidation.url, mod_id);
+            ParentDeliverInvalidation(invalidation.doc, mod_id);
             // Targeted journal-recovery invalidations route through the
             // parent like any other, but gate the write-gap, not a
             // delivery machine.
@@ -316,14 +283,11 @@ void Engine::SendInvalidation(net::Invalidation invalidation,
        gate_released](sim::Network::SendResult result, Time done_at) {
         if (result == sim::Network::SendResult::kDelivered) return;
         if (!gate_released) ResolveFirstAttempt(mod_id);
-        ++metrics_.invalidations_refused;
-        obs::Emit(sink_,
-                  {.type = result == sim::Network::SendResult::kGaveUp
-                               ? obs::EventType::kInvalidateGaveUp
-                               : obs::EventType::kInvalidateRefused,
-                   .at = done_at,
-                   .url = invalidation.url,
-                   .site = invalidation.client_id});
+        NoteRefused(result, done_at,
+                    invalidation.doc == core::kNoInternId
+                        ? std::string_view()
+                        : std::string_view(ids_.DocName(invalidation.doc)),
+                    invalidation.site);
         if (invalidation.recovery) {
           // Recovery notices (INVSRV or targeted journal-recovery
           // invalidations) gate the write-gap, not a delivery machine.
@@ -331,40 +295,52 @@ void Engine::SendInvalidation(net::Invalidation invalidation,
         } else {
           // A refused target's proxy is down: its cache revalidates
           // everything on restart, so the site counts as resolved-dead.
-          ResolveWriteTarget(mod_id, invalidation.client_id, /*dead=*/true);
+          ResolveWriteTarget(mod_id, invalidation.site, /*dead=*/true);
         }
       },
       /*max_retries=*/-1);
 }
 
-void Engine::DeliverInvalidation(const net::Invalidation& invalidation,
+void Engine::DeliverInvalidation(const net::DocInvalidation& invalidation,
                                  std::uint64_t mod_id) {
-  const int index = pseudo_of_client_.at(invalidation.client_id);
-  PseudoClient& pc = clients_[index];
+  PseudoClient& pc = clients_[PseudoOf(invalidation.site)];
   if (invalidation.type == net::MessageType::kInvalidateUrl) {
     // Deleting (rather than marking) frees cache space for fresh documents —
     // the cache-utilization benefit the paper credits invalidation with.
-    pc.cache->Erase(
-        http::ComposeCacheKey(invalidation.url, invalidation.client_id));
-    ++metrics_.invalidations_delivered;
-    obs::Emit(sink_, {.type = obs::EventType::kInvalidateDelivered,
-                      .at = sim_.now(),
-                      .url = invalidation.url,
-                      .site = invalidation.client_id});
+    pc.cache->Erase(invalidation.site, invalidation.doc);
+    NoteDelivered(invalidation.doc, invalidation.site);
     if (invalidation.recovery) {
       FinishRecoveryNotice();
     } else {
-      ResolveWriteTarget(mod_id, invalidation.client_id, /*dead=*/false);
+      ResolveWriteTarget(mod_id, invalidation.site, /*dead=*/false);
     }
   } else {
     // Server-address invalidation: every entry this real client holds from
     // that server becomes questionable.
+    const core::SiteId site = invalidation.site;
     pc.cache->MarkQuestionableWhere(
-        [&invalidation](const http::CacheEntry& entry) {
-          return entry.owner == invalidation.client_id;
-        });
+        [site](const http::CacheEntry& entry) { return entry.site == site; });
     FinishRecoveryNotice();
   }
+}
+
+void Engine::NoteDelivered(core::DocId doc, core::SiteId site) {
+  ++metrics_.invalidations_delivered;
+  obs::Emit(sink_, {.type = obs::EventType::kInvalidateDelivered,
+                    .at = sim_.now(),
+                    .url = ids_.DocName(doc),
+                    .site = ids_.SiteName(site)});
+}
+
+void Engine::NoteRefused(sim::Network::SendResult result, Time at,
+                         std::string_view url, core::SiteId site) {
+  ++metrics_.invalidations_refused;
+  obs::Emit(sink_, {.type = result == sim::Network::SendResult::kGaveUp
+                                ? obs::EventType::kInvalidateGaveUp
+                                : obs::EventType::kInvalidateRefused,
+                    .at = at,
+                    .url = url,
+                    .site = ids_.SiteName(site)});
 }
 
 void Engine::FinishRecoveryNotice() {
@@ -417,12 +393,12 @@ void Engine::FinishWriteDelivery(PendingMod& pending) {
   obs::Emit(sink_, {.type = obs::EventType::kWriteComplete,
                     .at = sim_.now(),
                     .trace_time = pending.started_trace,
-                    .url = delivery.url(),
+                    .url = ids_.DocName(pending.doc),
                     .detail = static_cast<std::int64_t>(kind)});
-  CompleteWrite(delivery.url());
+  CompleteWrite(pending.doc);
 }
 
-void Engine::ResolveWriteTarget(std::uint64_t mod_id, std::string_view site,
+void Engine::ResolveWriteTarget(std::uint64_t mod_id, core::SiteId site,
                                 bool dead) {
   const auto it = pending_mod_targets_.find(mod_id);
   if (it == pending_mod_targets_.end()) return;
@@ -452,11 +428,8 @@ void Engine::SweepExpiredWriteTargets(Time trace_now) {
   }
 }
 
-void Engine::CompleteWrite(const std::string& url) {
-  const auto it = writes_in_progress_.find(url);
-  if (it != writes_in_progress_.end() && --it->second <= 0) {
-    writes_in_progress_.erase(it);
-  }
+void Engine::CompleteWrite(core::DocId doc) {
+  if (writes_in_progress_[doc] > 0) --writes_in_progress_[doc];
 }
 
 void Engine::ServerRecover(Time trace_time) {
@@ -483,24 +456,30 @@ void Engine::ServerRecover(Time trace_time) {
   if (notices.empty()) write_gap_active_ = false;
   // Recovery notices always take the unbatched path (fault semantics are
   // untouched by batching); in decoupled mode a targeted invalidation goes
-  // out on its URL's shard sender, INVSRV broadcasts on shard 0.
-  for (net::Invalidation& notice : notices) {
+  // out on its URL's shard sender, INVSRV broadcasts on shard 0. Recovery
+  // speaks names (it replays the journal); its notices resolve to ids here.
+  for (const net::Invalidation& notice : notices) {
+    net::DocInvalidation by_id;
+    by_id.type = notice.type;
     if (notice.type == net::MessageType::kInvalidateUrl) {
       ++metrics_.recovery_invalidations_sent;
+      by_id.doc = ids_.docs.Find(notice.url);
     } else {
       ++metrics_.invsrv_sent;
+      by_id.server = accel_.server_name();
     }
-    metrics_.message_bytes += net::WireSize(notice);
+    by_id.site = ids_.sites.Find(notice.client_id);
+    by_id.lease_until = notice.lease_until;
+    by_id.recovery = true;
+    metrics_.message_bytes += net::WireSize(by_id, ids_);
     sim::FifoStation& sender =
         config_.serialized_invalidation
             ? server_cpu_
             : *inval_senders_[notice.type == net::MessageType::kInvalidateUrl
-                                  ? accel_.ShardOf(notice.url)
+                                  ? accel_.ShardOf(by_id.doc)
                                   : 0];
     sender.Enqueue(config_.server_costs.invalidation_send_cpu,
-                   [this, notice = std::move(notice)]() mutable {
-                     SendInvalidation(std::move(notice), 0);
-                   });
+                   [this, by_id] { SendInvalidation(by_id, 0); });
   }
 }
 

@@ -1,6 +1,7 @@
 #include "trace/summary.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -66,9 +67,22 @@ std::string ValidateTrace(const Trace& trace) {
     }
     previous = record.timestamp;
   }
+  // Each document and client index is an identity (the replay's id space
+  // maps names to exactly these indices), so a repeated name would make two
+  // indices claim one name.
+  std::unordered_set<std::string_view> paths;
   for (std::size_t d = 0; d < trace.documents.size(); ++d) {
-    if (trace.documents[d].path.empty()) {
-      return "document " + std::to_string(d) + ": empty path";
+    const std::string& path = trace.documents[d].path;
+    if (path.empty()) return "document " + std::to_string(d) + ": empty path";
+    if (!paths.insert(path).second) {
+      return "document " + std::to_string(d) + ": duplicate path " + path;
+    }
+  }
+  std::unordered_set<std::string_view> clients;
+  for (std::size_t c = 0; c < trace.clients.size(); ++c) {
+    if (!clients.insert(trace.clients[c]).second) {
+      return "client " + std::to_string(c) + ": duplicate id " +
+             trace.clients[c];
     }
   }
   return "";

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "http/cache_key.h"
 #include "http/proxy_cache.h"
 #include "util/rng.h"
 
@@ -276,7 +277,7 @@ CacheEntry MakeEntry(int doc, int owner, std::uint64_t size, Time ttl) {
   CacheEntry entry;
   entry.url = "/d" + std::to_string(doc);
   entry.owner = "c" + std::to_string(owner);
-  entry.key = entry.url + "@" + entry.owner;
+  entry.key = ComposeCacheKey(entry.url, entry.owner);
   entry.size_bytes = size;
   entry.version = 1;
   entry.ttl_expires = ttl;
@@ -310,8 +311,8 @@ TEST_P(CacheModelTest, RandomOperationsStayInLockstep) {
     now += static_cast<Time>(rng.NextBelow(50));
     const int doc = static_cast<int>(rng.NextBelow(12));
     const int owner = static_cast<int>(rng.NextBelow(3));
-    const std::string key =
-        "/d" + std::to_string(doc) + "@c" + std::to_string(owner);
+    const std::string key = ComposeCacheKey("/d" + std::to_string(doc),
+                                            "c" + std::to_string(owner));
 
     switch (rng.NextBelow(6)) {
       case 0:
@@ -384,8 +385,8 @@ TEST_P(CacheModelTest, RandomOperationsStayInLockstep) {
   // Final membership sweep.
   for (int doc = 0; doc < 12; ++doc) {
     for (int owner = 0; owner < 3; ++owner) {
-      const std::string key =
-          "/d" + std::to_string(doc) + "@c" + std::to_string(owner);
+      const std::string key = ComposeCacheKey("/d" + std::to_string(doc),
+                                              "c" + std::to_string(owner));
       EXPECT_EQ(cache.Peek(key) != nullptr, reference.Contains(key)) << key;
     }
   }

@@ -7,7 +7,7 @@
 #include <limits>
 #include <set>
 #include <string>
-
+#include <string_view>
 #include <vector>
 
 #include "core/accelerator.h"
@@ -15,6 +15,7 @@
 #include "core/invalidation_table.h"
 #include "core/lease.h"
 #include "core/site_registry.h"
+#include "named_table.h"
 #include "obs/trace_sink.h"
 
 namespace webcc::core {
@@ -128,7 +129,7 @@ TEST(InvalidationTable, ExactExpiryExcludedFromFanOut) {
   LeaseConfig lease;
   lease.mode = LeaseMode::kFixed;
   lease.duration = kHour;
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   table.Register("/a", "c1", net::MessageType::kGet, 0);  // expiry: kHour
   EXPECT_EQ(table.ListLength("/a", kHour - 1), 1u);
   EXPECT_EQ(table.ListLength("/a", kHour), 0u);
@@ -143,7 +144,7 @@ TEST(InvalidationTable, TwoTierExactExpiryBoundary) {
   lease.mode = LeaseMode::kTwoTier;
   lease.duration = 3 * kDay;
   lease.short_duration = kMinute;
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   table.Register("/a", "c1", net::MessageType::kGet, 0);  // expiry: kMinute
   EXPECT_EQ(table.TakeSitesForInvalidation("/a", kMinute - 1),
             std::vector<std::string>{"c1"});
@@ -158,7 +159,7 @@ TEST(InvalidationTable, TwoTierExactExpiryBoundary) {
 // --- invalidation table --------------------------------------------------------------
 
 TEST(InvalidationTable, RegisterAndTake) {
-  InvalidationTable table(LeaseConfig{});
+  NamedTable table(LeaseConfig{});
   table.Register("/a", "c1", net::MessageType::kGet, 0);
   table.Register("/a", "c2", net::MessageType::kGet, 0);
   table.Register("/b", "c1", net::MessageType::kGet, 0);
@@ -172,14 +173,14 @@ TEST(InvalidationTable, RegisterAndTake) {
 }
 
 TEST(InvalidationTable, DuplicateRegistrationIsOneEntry) {
-  InvalidationTable table(LeaseConfig{});
+  NamedTable table(LeaseConfig{});
   table.Register("/a", "c1", net::MessageType::kGet, 0);
   table.Register("/a", "c1", net::MessageType::kGet, 5);
   EXPECT_EQ(table.TotalEntries(), 1u);
 }
 
 TEST(InvalidationTable, TakeOnUnknownUrlIsEmpty) {
-  InvalidationTable table(LeaseConfig{});
+  NamedTable table(LeaseConfig{});
   EXPECT_TRUE(table.TakeSitesForInvalidation("/none", 0).empty());
 }
 
@@ -187,7 +188,7 @@ TEST(InvalidationTable, FixedLeaseExpiresEntries) {
   LeaseConfig lease;
   lease.mode = LeaseMode::kFixed;
   lease.duration = kDay;
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   table.Register("/a", "c1", net::MessageType::kGet, 0);
   table.Register("/a", "c2", net::MessageType::kGet, 12 * kHour);
   // At t=36h, c1's lease (expiry 24h) lapsed; c2's (36h) is borderline out.
@@ -200,7 +201,7 @@ TEST(InvalidationTable, LeaseRefreshNeverShortens) {
   LeaseConfig lease;
   lease.mode = LeaseMode::kFixed;
   lease.duration = kDay;
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   table.Register("/a", "c1", net::MessageType::kGet, 10 * kHour);
   // An earlier-time registration (out-of-order processing) must not pull
   // the expiry back.
@@ -213,7 +214,7 @@ TEST(InvalidationTable, TwoTierGetNotRemembered) {
   lease.mode = LeaseMode::kTwoTier;
   lease.duration = 3 * kDay;
   lease.short_duration = 0;
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   table.Register("/a", "c1", net::MessageType::kGet, 100);
   EXPECT_EQ(table.TotalEntries(), 0u);
   table.Register("/a", "c1", net::MessageType::kIfModifiedSince, 200);
@@ -224,7 +225,7 @@ TEST(InvalidationTable, PruneExpiredDropsOnlyDead) {
   LeaseConfig lease;
   lease.mode = LeaseMode::kFixed;
   lease.duration = kDay;
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   table.Register("/a", "c1", net::MessageType::kGet, 0);
   table.Register("/b", "c2", net::MessageType::kGet, 20 * kHour);
   EXPECT_EQ(table.PruneExpired(30 * kHour), 1u);
@@ -254,7 +255,7 @@ TEST(InvalidationTable, PruneExpiredEmitsTracesInSortedOrder) {
   LeaseConfig lease;
   lease.mode = LeaseMode::kFixed;
   lease.duration = kDay;
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   obs::BufferTraceSink sink;
   table.set_trace_sink(&sink);
   for (const char* url : {"/h", "/c", "/f", "/a", "/e", "/b", "/g", "/d"}) {
@@ -268,7 +269,7 @@ TEST(InvalidationTable, PruneExpiredEmitsTracesInSortedOrder) {
 }
 
 TEST(InvalidationTable, StorageGrowsWithEntries) {
-  InvalidationTable table(LeaseConfig{});
+  NamedTable table(LeaseConfig{});
   const auto before = table.StorageBytes();
   for (int i = 0; i < 100; ++i) {
     table.Register("/a", "client-" + std::to_string(i),
@@ -281,7 +282,7 @@ TEST(InvalidationTable, StorageGrowsWithEntries) {
 }
 
 TEST(InvalidationTable, MaxListLength) {
-  InvalidationTable table(LeaseConfig{});
+  NamedTable table(LeaseConfig{});
   table.Register("/a", "c1", net::MessageType::kGet, 0);
   table.Register("/a", "c2", net::MessageType::kGet, 0);
   table.Register("/b", "c1", net::MessageType::kGet, 0);
@@ -289,7 +290,7 @@ TEST(InvalidationTable, MaxListLength) {
 }
 
 TEST(InvalidationTable, ClearDropsEverything) {
-  InvalidationTable table(LeaseConfig{});
+  NamedTable table(LeaseConfig{});
   table.Register("/a", "c1", net::MessageType::kGet, 0);
   table.Clear();
   EXPECT_EQ(table.TotalEntries(), 0u);
@@ -297,7 +298,7 @@ TEST(InvalidationTable, ClearDropsEverything) {
 }
 
 TEST(InvalidationTable, FanOutOrderDeterministic) {
-  InvalidationTable table(LeaseConfig{});
+  NamedTable table(LeaseConfig{});
   table.Register("/a", "zeta", net::MessageType::kGet, 0);
   table.Register("/a", "alpha", net::MessageType::kGet, 0);
   table.Register("/a", "mid", net::MessageType::kGet, 0);
@@ -308,36 +309,40 @@ TEST(InvalidationTable, FanOutOrderDeterministic) {
 // --- site registry ---------------------------------------------------------------------
 
 TEST(SiteRegistry, FirstSightingWritesDisk) {
-  SiteRegistry registry;
-  EXPECT_TRUE(registry.RecordSite("c1"));
-  EXPECT_FALSE(registry.RecordSite("c1"));
-  EXPECT_TRUE(registry.RecordSite("c2"));
+  IdSpace ids;
+  SiteRegistry registry(ids);
+  EXPECT_TRUE(registry.RecordSite(ids.sites.Intern("c1")));
+  EXPECT_FALSE(registry.RecordSite(ids.sites.Intern("c1")));
+  EXPECT_TRUE(registry.RecordSite(ids.sites.Intern("c2")));
   EXPECT_EQ(registry.disk_writes(), 2u);
-  EXPECT_TRUE(registry.Contains("c1"));
-  EXPECT_FALSE(registry.Contains("c3"));
+  EXPECT_TRUE(registry.Contains(ids.sites.Find("c1")));
+  EXPECT_FALSE(registry.Contains(ids.sites.Find("c3")));
 }
 
 TEST(SiteRegistry, SaveAndLoadRoundTrip) {
-  SiteRegistry registry;
-  registry.RecordSite("alpha");
-  registry.RecordSite("beta");
+  IdSpace saved_ids;
+  SiteRegistry registry(saved_ids);
+  registry.RecordSite(saved_ids.sites.Intern("alpha"));
+  registry.RecordSite(saved_ids.sites.Intern("beta"));
   char path[] = "/tmp/webcc_registry_XXXXXX";
   const int fd = mkstemp(path);
   ASSERT_GE(fd, 0);
   close(fd);
   ASSERT_TRUE(registry.SaveToFile(path));
 
-  SiteRegistry loaded;
-  loaded.RecordSite("gamma");
+  IdSpace loaded_ids;  // names resolve afresh in the loading process
+  SiteRegistry loaded(loaded_ids);
+  loaded.RecordSite(loaded_ids.sites.Intern("gamma"));
   ASSERT_TRUE(loaded.LoadFromFile(path));
-  EXPECT_TRUE(loaded.Contains("alpha"));
-  EXPECT_TRUE(loaded.Contains("beta"));
-  EXPECT_TRUE(loaded.Contains("gamma"));  // merge, not replace
+  EXPECT_TRUE(loaded.Contains(loaded_ids.sites.Find("alpha")));
+  EXPECT_TRUE(loaded.Contains(loaded_ids.sites.Find("beta")));
+  EXPECT_TRUE(loaded.Contains(loaded_ids.sites.Find("gamma")));  // merge
   std::remove(path);
 }
 
 TEST(SiteRegistry, LoadMissingFileFails) {
-  SiteRegistry registry;
+  IdSpace ids;
+  SiteRegistry registry(ids);
   EXPECT_FALSE(registry.LoadFromFile("/nonexistent/webcc"));
 }
 
@@ -358,6 +363,11 @@ class AcceleratorTest : public ::testing::Test {
     return request;
   }
 
+  DocId Doc(std::string_view url) const { return docs_.ids().docs.Find(url); }
+  SiteId Site(std::string_view client) const {
+    return docs_.ids().sites.Find(client);
+  }
+
   http::DocumentStore docs_;
   Accelerator accel_;
 };
@@ -366,8 +376,8 @@ TEST_F(AcceleratorTest, RequestRegistersSite) {
   const auto reply = accel_.HandleRequest(Get("/a", "c1"), 10);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::MessageType::kReply200);
-  EXPECT_EQ(accel_.table().ListLength("/a", 10), 1u);
-  EXPECT_TRUE(accel_.registry().Contains("c1"));
+  EXPECT_EQ(accel_.table().ListLength(Doc("/a"), 10), 1u);
+  EXPECT_TRUE(accel_.registry().Contains(Site("c1")));
 }
 
 TEST_F(AcceleratorTest, UnknownUrlNotRegistered) {
@@ -394,7 +404,7 @@ TEST_F(AcceleratorTest, NotifyAfterTouchInvalidatesRegisteredSites) {
   EXPECT_EQ(invs[0].client_id, "c1");
   EXPECT_EQ(invs[1].client_id, "c2");
   // Sites are forgotten after invalidation.
-  EXPECT_EQ(accel_.table().ListLength("/a", 100), 0u);
+  EXPECT_EQ(accel_.table().ListLength(Doc("/a"), 100), 0u);
   EXPECT_EQ(accel_.stats().invalidations_generated, 2u);
   EXPECT_EQ(accel_.stats().list_lengths_at_modification.size(), 1u);
   EXPECT_EQ(accel_.stats().list_lengths_at_modification[0], 2u);
@@ -417,9 +427,9 @@ TEST_F(AcceleratorTest, FirstSightingViaNotifyDoesNotInvalidate) {
 TEST_F(AcceleratorTest, BrowserBasedDetectionEquivalentToNotify) {
   accel_.HandleRequest(Get("/a", "c1"), 0);
   docs_.Touch("/a", 50);
-  const auto invs = accel_.CheckDocument("/a", 50);
+  const auto invs = accel_.CheckDocument(Doc("/a"), 50);
   ASSERT_EQ(invs.size(), 1u);
-  EXPECT_EQ(invs[0].client_id, "c1");
+  EXPECT_EQ(docs_.ids().SiteName(invs[0].site), "c1");
 }
 
 TEST_F(AcceleratorTest, ClientNotReInvalidatedWithoutReRequest) {
@@ -435,7 +445,7 @@ TEST_F(AcceleratorTest, CrashLosesTableButNotRegistry) {
   accel_.HandleRequest(Get("/a", "c1"), 0);
   accel_.Crash();
   EXPECT_EQ(accel_.table().TotalEntries(), 0u);
-  EXPECT_TRUE(accel_.registry().Contains("c1"));
+  EXPECT_TRUE(accel_.registry().Contains(Site("c1")));
 }
 
 TEST_F(AcceleratorTest, RecoverNotifiesEverySiteEverSeen) {

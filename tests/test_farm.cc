@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "core/intern.h"
+#include "core/id_space.h"
 #include "obs/trace_sink.h"
 #include "replay/engine.h"
 #include "replay/experiments.h"

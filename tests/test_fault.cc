@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -247,33 +248,40 @@ TEST(FaultClock, OverlappingWindowsAddDelays) {
 
 // --- write-delivery state machine ------------------------------------------------
 
+// WriteDelivery keys on site ids; the tests name their sites through one
+// id space.
+core::SiteId Site(std::string_view name) {
+  static core::Interner sites;
+  return sites.Intern(name);
+}
+
 TEST(WriteDelivery, NoTargetsIsCompleteImmediately) {
-  core::WriteDelivery delivery("u");
+  core::WriteDelivery delivery;
   EXPECT_TRUE(delivery.complete());
   EXPECT_EQ(delivery.completion(), core::WriteDelivery::Completion::kNoTargets);
 }
 
 TEST(WriteDelivery, AllAckedPath) {
-  core::WriteDelivery delivery("u");
-  delivery.AddTarget("a", net::kNoLease);
-  delivery.AddTarget("b", net::kNoLease);
+  core::WriteDelivery delivery;
+  delivery.AddTarget(Site("a"), net::kNoLease);
+  delivery.AddTarget(Site("b"), net::kNoLease);
   EXPECT_FALSE(delivery.complete());
   EXPECT_EQ(delivery.completion(), core::WriteDelivery::Completion::kPending);
-  EXPECT_FALSE(delivery.Ack("a"));
-  EXPECT_TRUE(delivery.Ack("b"));
+  EXPECT_FALSE(delivery.Ack(Site("a")));
+  EXPECT_TRUE(delivery.Ack(Site("b")));
   EXPECT_EQ(delivery.completion(), core::WriteDelivery::Completion::kAllAcked);
   // Duplicate and unknown acks are ignored (a duplicated datagram may ack
   // twice; a stray site was never a target).
-  EXPECT_FALSE(delivery.Ack("b"));
-  EXPECT_FALSE(delivery.Ack("nobody"));
+  EXPECT_FALSE(delivery.Ack(Site("b")));
+  EXPECT_FALSE(delivery.Ack(Site("nobody")));
   EXPECT_EQ(delivery.completion(), core::WriteDelivery::Completion::kAllAcked);
 }
 
 TEST(WriteDelivery, LeaseExpiryResolvesStragglerHalfOpen) {
-  core::WriteDelivery delivery("u");
-  delivery.AddTarget("fast", net::kNoLease);
-  delivery.AddTarget("stuck", /*lease_until=*/100);
-  EXPECT_FALSE(delivery.Ack("fast"));
+  core::WriteDelivery delivery;
+  delivery.AddTarget(Site("fast"), net::kNoLease);
+  delivery.AddTarget(Site("stuck"), /*lease_until=*/100);
+  EXPECT_FALSE(delivery.Ack(Site("fast")));
   EXPECT_EQ(delivery.NextExpiry(), 100);
   // Half-open lease interval: still active at 99, dead at exactly 100.
   EXPECT_FALSE(delivery.ExpireLeases(99));
@@ -284,21 +292,21 @@ TEST(WriteDelivery, LeaseExpiryResolvesStragglerHalfOpen) {
 }
 
 TEST(WriteDelivery, NoLeaseTargetOnlyResolvesByAckOrDeath) {
-  core::WriteDelivery delivery("u");
-  delivery.AddTarget("forever", net::kNoLease);
+  core::WriteDelivery delivery;
+  delivery.AddTarget(Site("forever"), net::kNoLease);
   EXPECT_FALSE(delivery.ExpireLeases(365 * kDay));
   EXPECT_FALSE(delivery.complete());
   EXPECT_EQ(delivery.NextExpiry(), net::kNoLease);
-  EXPECT_TRUE(delivery.MarkDead("forever"));
+  EXPECT_TRUE(delivery.MarkDead(Site("forever")));
   // Death is not a clean ack set: the completion records the bound.
   EXPECT_EQ(delivery.completion(),
             core::WriteDelivery::Completion::kLeasesExpired);
 }
 
 TEST(WriteDelivery, ReAddingTargetKeepsLaterExpiry) {
-  core::WriteDelivery delivery("u");
-  delivery.AddTarget("s", 50);
-  delivery.AddTarget("s", 200);
+  core::WriteDelivery delivery;
+  delivery.AddTarget(Site("s"), 50);
+  delivery.AddTarget(Site("s"), 200);
   EXPECT_EQ(delivery.total_targets(), 1);
   EXPECT_FALSE(delivery.ExpireLeases(100));  // 50 would have lapsed; 200 holds
   EXPECT_EQ(delivery.NextExpiry(), 200);
@@ -306,12 +314,12 @@ TEST(WriteDelivery, ReAddingTargetKeepsLaterExpiry) {
 }
 
 TEST(WriteDelivery, MixedResolutionCountsAsLeaseBound) {
-  core::WriteDelivery delivery("u");
-  delivery.AddTarget("acked", net::kNoLease);
-  delivery.AddTarget("leased", 10);
-  delivery.AddTarget("dead", net::kNoLease);
-  EXPECT_FALSE(delivery.Ack("acked"));
-  EXPECT_FALSE(delivery.MarkDead("dead"));
+  core::WriteDelivery delivery;
+  delivery.AddTarget(Site("acked"), net::kNoLease);
+  delivery.AddTarget(Site("leased"), 10);
+  delivery.AddTarget(Site("dead"), net::kNoLease);
+  EXPECT_FALSE(delivery.Ack(Site("acked")));
+  EXPECT_FALSE(delivery.MarkDead(Site("dead")));
   EXPECT_EQ(delivery.outstanding(), 1);
   EXPECT_TRUE(delivery.ExpireLeases(10));
   EXPECT_EQ(delivery.completion(),

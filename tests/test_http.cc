@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
+#include "http/cache_key.h"
 #include "http/document_store.h"
 #include "http/origin.h"
 #include "http/proxy_cache.h"
@@ -12,10 +14,15 @@ namespace {
 
 // --- DocumentStore ---------------------------------------------------------------
 
+// The store indexes documents by id; tests name them by path.
+const Document* FindPath(const DocumentStore& store, std::string_view path) {
+  return store.Find(store.ids().docs.Find(path));
+}
+
 TEST(DocumentStore, AddAndFind) {
   DocumentStore store;
   EXPECT_TRUE(store.Add("/a", 100, 5));
-  const Document* doc = store.Find("/a");
+  const Document* doc = FindPath(store, "/a");
   ASSERT_NE(doc, nullptr);
   EXPECT_EQ(doc->size_bytes, 100u);
   EXPECT_EQ(doc->last_modified, 5);
@@ -26,19 +33,19 @@ TEST(DocumentStore, DuplicateAddRejected) {
   DocumentStore store;
   EXPECT_TRUE(store.Add("/a", 100, 0));
   EXPECT_FALSE(store.Add("/a", 200, 0));
-  EXPECT_EQ(store.Find("/a")->size_bytes, 100u);
+  EXPECT_EQ(FindPath(store, "/a")->size_bytes, 100u);
 }
 
 TEST(DocumentStore, FindMissingReturnsNull) {
   DocumentStore store;
-  EXPECT_EQ(store.Find("/missing"), nullptr);
+  EXPECT_EQ(FindPath(store, "/missing"), nullptr);
 }
 
 TEST(DocumentStore, TouchBumpsVersionAndMtime) {
   DocumentStore store;
   store.Add("/a", 100, 0);
   EXPECT_TRUE(store.Touch("/a", 77));
-  const Document* doc = store.Find("/a");
+  const Document* doc = FindPath(store, "/a");
   EXPECT_EQ(doc->version, 2u);
   EXPECT_EQ(doc->last_modified, 77);
   EXPECT_TRUE(store.Touch("/a", 99));
@@ -53,11 +60,11 @@ TEST(DocumentStore, TouchUnknownFails) {
 TEST(DocumentStore, PointersStableAcrossAdds) {
   DocumentStore store;
   store.Add("/first", 1, 0);
-  const Document* first = store.Find("/first");
+  const Document* first = FindPath(store, "/first");
   for (int i = 0; i < 1000; ++i) {
     store.Add("/doc" + std::to_string(i), 1, 0);
   }
-  EXPECT_EQ(store.Find("/first"), first);
+  EXPECT_EQ(FindPath(store, "/first"), first);
 }
 
 TEST(DocumentStore, TotalBytesAccumulates) {
@@ -71,7 +78,7 @@ TEST(DocumentStore, TotalBytesAccumulates) {
 TEST(DocumentStore, NegativeInitialMtimeAllowed) {
   DocumentStore store;
   store.Add("/old", 10, -50 * kDay);
-  EXPECT_EQ(store.Find("/old")->last_modified, -50 * kDay);
+  EXPECT_EQ(FindPath(store, "/old")->last_modified, -50 * kDay);
 }
 
 // --- OriginServer -----------------------------------------------------------------
@@ -152,22 +159,75 @@ TEST(OriginServer, LeaseLeftUnstamped) {
 
 // --- ProxyCache -------------------------------------------------------------------
 
-CacheEntry MakeEntry(const std::string& key, std::uint64_t size,
-                     Time ttl_expires = kNeverExpires) {
+// `owner`'s copy of `url`, keyed as the string-facing callers key it.
+std::string Key(std::string_view url, std::string_view owner = "c") {
+  return ComposeCacheKey(url, owner);
+}
+
+CacheEntry MakeEntry(const std::string& url, std::uint64_t size,
+                     Time ttl_expires = kNeverExpires,
+                     const std::string& owner = "c") {
   CacheEntry entry;
-  entry.key = key;
-  entry.url = key.substr(0, key.find('@'));
-  entry.owner = key.substr(key.find('@') + 1);
+  entry.key = Key(url, owner);
+  entry.url = url;
+  entry.owner = owner;
   entry.size_bytes = size;
   entry.version = 1;
   entry.ttl_expires = ttl_expires;
   return entry;
 }
 
+TEST(CacheKey, SplitInvertsComposeOnly) {
+  std::string_view url;
+  std::string_view owner;
+  // '@' in either part survives: the length prefix locates the separator.
+  const std::string key = ComposeCacheKey("/a@b", "client@4000");
+  ASSERT_TRUE(SplitCacheKey(key, url, owner));
+  EXPECT_EQ(url, "/a@b");
+  EXPECT_EQ(owner, "client@4000");
+  ASSERT_TRUE(SplitCacheKey(ComposeCacheKey("", ""), url, owner));
+  EXPECT_EQ(url, "");
+  EXPECT_EQ(owner, "");
+  // Strings ComposeCacheKey cannot produce are not keys.
+  for (const std::string_view bad :
+       {"/a@c", "", "2:/a", "2:/ab", "9:/a@c", ":/a@c", "x2:/a@c", "-1:/a@c",
+        "99999999999999999999999:/a@c"}) {
+    EXPECT_FALSE(SplitCacheKey(bad, url, owner)) << bad;
+  }
+}
+
+TEST(ProxyCache, NamesBoundedByDistinctUrlsAndOwnersNotPairs) {
+  // A long-running live proxy caches a stream of (url, client) pairs. The
+  // cache must remember one name per distinct url and per distinct client —
+  // not one composite key per pair ever cached — or its memory grows with
+  // every pair even after the entries are evicted.
+  ProxyCache cache(10 * 100, ReplacementPolicy::kLru);  // ten entries fit
+  for (int u = 0; u < 100; ++u) {
+    for (int c = 0; c < 100; ++c) {
+      CacheEntry entry;
+      entry.url = "/doc/" + std::to_string(u);
+      entry.owner = "client-" + std::to_string(c) + "@4000";
+      entry.key = ComposeCacheKey(entry.url, entry.owner);
+      entry.size_bytes = 100;
+      entry.version = 1;
+      cache.Insert(std::move(entry), 0);
+    }
+  }
+  EXPECT_EQ(cache.stats().insertions, 10000u);
+  EXPECT_EQ(cache.entry_count(), 10u);
+  EXPECT_LE(cache.ids().docs.size() + cache.ids().sites.size(), 200u);
+  // Looking up a pair of never-seen names does not intern them either.
+  EXPECT_EQ(cache.Lookup(ComposeCacheKey("/unknown", "stranger@1")), nullptr);
+  EXPECT_LE(cache.ids().docs.size() + cache.ids().sites.size(), 200u);
+  // The most recent pairs are resident; the first ones were evicted.
+  EXPECT_NE(cache.Peek(ComposeCacheKey("/doc/99", "client-99@4000")), nullptr);
+  EXPECT_EQ(cache.Peek(ComposeCacheKey("/doc/0", "client-0@4000")), nullptr);
+}
+
 TEST(ProxyCache, InsertAndLookup) {
   ProxyCache cache(1000, ReplacementPolicy::kLru);
-  cache.Insert(MakeEntry("/a@c", 100), 0);
-  CacheEntry* entry = cache.Lookup("/a@c");
+  cache.Insert(MakeEntry("/a", 100), 0);
+  CacheEntry* entry = cache.Lookup(Key("/a"));
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->size_bytes, 100u);
   EXPECT_EQ(cache.bytes_used(), 100u);
@@ -176,83 +236,83 @@ TEST(ProxyCache, InsertAndLookup) {
 
 TEST(ProxyCache, LookupMissingIsNull) {
   ProxyCache cache(1000, ReplacementPolicy::kLru);
-  EXPECT_EQ(cache.Lookup("/nope@c"), nullptr);
+  EXPECT_EQ(cache.Lookup(Key("/nope")), nullptr);
 }
 
 TEST(ProxyCache, InsertReplacesExisting) {
   ProxyCache cache(1000, ReplacementPolicy::kLru);
-  cache.Insert(MakeEntry("/a@c", 100), 0);
-  CacheEntry bigger = MakeEntry("/a@c", 300);
+  cache.Insert(MakeEntry("/a", 100), 0);
+  CacheEntry bigger = MakeEntry("/a", 300);
   bigger.version = 2;
   cache.Insert(bigger, 0);
   EXPECT_EQ(cache.entry_count(), 1u);
   EXPECT_EQ(cache.bytes_used(), 300u);
-  EXPECT_EQ(cache.Lookup("/a@c")->version, 2u);
+  EXPECT_EQ(cache.Lookup(Key("/a"))->version, 2u);
 }
 
 TEST(ProxyCache, EvictsLruWhenFull) {
   ProxyCache cache(300, ReplacementPolicy::kLru);
-  cache.Insert(MakeEntry("/a@c", 100), 0);
-  cache.Insert(MakeEntry("/b@c", 100), 0);
-  cache.Insert(MakeEntry("/c@c", 100), 0);
-  cache.Lookup("/a@c");                      // touch /a: /b is now LRU
-  cache.Insert(MakeEntry("/d@c", 100), 0);   // evicts /b
-  EXPECT_NE(cache.Peek("/a@c"), nullptr);
-  EXPECT_EQ(cache.Peek("/b@c"), nullptr);
-  EXPECT_NE(cache.Peek("/c@c"), nullptr);
-  EXPECT_NE(cache.Peek("/d@c"), nullptr);
+  cache.Insert(MakeEntry("/a", 100), 0);
+  cache.Insert(MakeEntry("/b", 100), 0);
+  cache.Insert(MakeEntry("/c", 100), 0);
+  cache.Lookup(Key("/a"));                      // touch /a: /b is now LRU
+  cache.Insert(MakeEntry("/d", 100), 0);   // evicts /b
+  EXPECT_NE(cache.Peek(Key("/a")), nullptr);
+  EXPECT_EQ(cache.Peek(Key("/b")), nullptr);
+  EXPECT_NE(cache.Peek(Key("/c")), nullptr);
+  EXPECT_NE(cache.Peek(Key("/d")), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(ProxyCache, PeekDoesNotPromote) {
   ProxyCache cache(200, ReplacementPolicy::kLru);
-  cache.Insert(MakeEntry("/a@c", 100), 0);
-  cache.Insert(MakeEntry("/b@c", 100), 0);
-  cache.Peek("/a@c");                       // must NOT promote /a
-  cache.Insert(MakeEntry("/c@c", 100), 0);  // evicts /a (still LRU)
-  EXPECT_EQ(cache.Peek("/a@c"), nullptr);
-  EXPECT_NE(cache.Peek("/b@c"), nullptr);
+  cache.Insert(MakeEntry("/a", 100), 0);
+  cache.Insert(MakeEntry("/b", 100), 0);
+  cache.Peek(Key("/a"));                       // must NOT promote /a
+  cache.Insert(MakeEntry("/c", 100), 0);  // evicts /a (still LRU)
+  EXPECT_EQ(cache.Peek(Key("/a")), nullptr);
+  EXPECT_NE(cache.Peek(Key("/b")), nullptr);
 }
 
 TEST(ProxyCache, ObjectLargerThanCapacityNotCached) {
   ProxyCache cache(100, ReplacementPolicy::kLru);
-  cache.Insert(MakeEntry("/big@c", 5000), 0);
+  cache.Insert(MakeEntry("/big", 5000), 0);
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.bytes_used(), 0u);
 }
 
 TEST(ProxyCache, ExpiredFirstEvictsExpiredBeforeLru) {
   ProxyCache cache(300, ReplacementPolicy::kExpiredFirstLru);
-  cache.Insert(MakeEntry("/fresh@c", 100, /*ttl=*/1000), 0);
-  cache.Insert(MakeEntry("/expired@c", 100, /*ttl=*/10), 0);
-  cache.Insert(MakeEntry("/strong@c", 100), 0);
-  cache.Lookup("/expired@c");  // most recently used, but expired
+  cache.Insert(MakeEntry("/fresh", 100, /*ttl=*/1000), 0);
+  cache.Insert(MakeEntry("/expired", 100, /*ttl=*/10), 0);
+  cache.Insert(MakeEntry("/strong", 100), 0);
+  cache.Lookup(Key("/expired"));  // most recently used, but expired
   // At now=500 the expired entry must go first despite being MRU.
-  cache.Insert(MakeEntry("/new@c", 100), 500);
-  EXPECT_EQ(cache.Peek("/expired@c"), nullptr);
-  EXPECT_NE(cache.Peek("/fresh@c"), nullptr);
-  EXPECT_NE(cache.Peek("/strong@c"), nullptr);
+  cache.Insert(MakeEntry("/new", 100), 500);
+  EXPECT_EQ(cache.Peek(Key("/expired")), nullptr);
+  EXPECT_NE(cache.Peek(Key("/fresh")), nullptr);
+  EXPECT_NE(cache.Peek(Key("/strong")), nullptr);
   EXPECT_EQ(cache.stats().expired_evictions, 1u);
 }
 
 TEST(ProxyCache, ExpiredFirstFallsBackToLruWhenNoneExpired) {
   ProxyCache cache(200, ReplacementPolicy::kExpiredFirstLru);
-  cache.Insert(MakeEntry("/a@c", 100, /*ttl=*/100000), 0);
-  cache.Insert(MakeEntry("/b@c", 100, /*ttl=*/100000), 0);
-  cache.Insert(MakeEntry("/c@c", 100, /*ttl=*/100000), 50);
-  EXPECT_EQ(cache.Peek("/a@c"), nullptr);  // plain LRU victim
+  cache.Insert(MakeEntry("/a", 100, /*ttl=*/100000), 0);
+  cache.Insert(MakeEntry("/b", 100, /*ttl=*/100000), 0);
+  cache.Insert(MakeEntry("/c", 100, /*ttl=*/100000), 50);
+  EXPECT_EQ(cache.Peek(Key("/a")), nullptr);  // plain LRU victim
   EXPECT_EQ(cache.stats().expired_evictions, 0u);
 }
 
 TEST(ProxyCache, SetTtlExpiryReindexes) {
   ProxyCache cache(200, ReplacementPolicy::kExpiredFirstLru);
-  cache.Insert(MakeEntry("/a@c", 100, /*ttl=*/10), 0);
-  CacheEntry* entry = cache.Lookup("/a@c");
+  cache.Insert(MakeEntry("/a", 100, /*ttl=*/10), 0);
+  CacheEntry* entry = cache.Lookup(Key("/a"));
   ASSERT_NE(entry, nullptr);
   // Revalidation extends the TTL; the old heap record must not evict it.
   cache.SetTtlExpiry(*entry, 100000);
-  cache.Insert(MakeEntry("/b@c", 100, /*ttl=*/100000), 500);
-  cache.Insert(MakeEntry("/c@c", 100, /*ttl=*/100000), 500);
+  cache.Insert(MakeEntry("/b", 100, /*ttl=*/100000), 500);
+  cache.Insert(MakeEntry("/c", 100, /*ttl=*/100000), 500);
   // /a had to be evicted by LRU (not as expired) or survive; it must not
   // have been evicted via the stale ttl=10 record.
   EXPECT_EQ(cache.stats().expired_evictions, 0u);
@@ -260,9 +320,9 @@ TEST(ProxyCache, SetTtlExpiryReindexes) {
 
 TEST(ProxyCache, EraseRemoves) {
   ProxyCache cache(1000, ReplacementPolicy::kLru);
-  cache.Insert(MakeEntry("/a@c", 100), 0);
-  EXPECT_TRUE(cache.Erase("/a@c"));
-  EXPECT_FALSE(cache.Erase("/a@c"));
+  cache.Insert(MakeEntry("/a", 100), 0);
+  EXPECT_TRUE(cache.Erase(Key("/a")));
+  EXPECT_FALSE(cache.Erase(Key("/a")));
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.bytes_used(), 0u);
   EXPECT_EQ(cache.stats().erased, 1u);
@@ -270,35 +330,35 @@ TEST(ProxyCache, EraseRemoves) {
 
 TEST(ProxyCache, MarkAllQuestionable) {
   ProxyCache cache(1000, ReplacementPolicy::kLru);
-  cache.Insert(MakeEntry("/a@c", 100), 0);
-  cache.Insert(MakeEntry("/b@c", 100), 0);
+  cache.Insert(MakeEntry("/a", 100), 0);
+  cache.Insert(MakeEntry("/b", 100), 0);
   cache.MarkAllQuestionable();
-  EXPECT_TRUE(cache.Peek("/a@c")->questionable);
-  EXPECT_TRUE(cache.Peek("/b@c")->questionable);
+  EXPECT_TRUE(cache.Peek(Key("/a"))->questionable);
+  EXPECT_TRUE(cache.Peek(Key("/b"))->questionable);
 }
 
 TEST(ProxyCache, MarkQuestionableWhereFilters) {
   ProxyCache cache(1000, ReplacementPolicy::kLru);
-  cache.Insert(MakeEntry("/a@alice", 100), 0);
-  cache.Insert(MakeEntry("/a@bob", 100), 0);
+  cache.Insert(MakeEntry("/a", 100, kNeverExpires, "alice"), 0);
+  cache.Insert(MakeEntry("/a", 100, kNeverExpires, "bob"), 0);
   const std::size_t marked = cache.MarkQuestionableWhere(
       [](const CacheEntry& entry) { return entry.owner == "alice"; });
   EXPECT_EQ(marked, 1u);
-  EXPECT_TRUE(cache.Peek("/a@alice")->questionable);
-  EXPECT_FALSE(cache.Peek("/a@bob")->questionable);
+  EXPECT_TRUE(cache.Peek(Key("/a", "alice"))->questionable);
+  EXPECT_FALSE(cache.Peek(Key("/a", "bob"))->questionable);
 }
 
 TEST(ProxyCache, ZeroSizeEntriesAllowed) {
   ProxyCache cache(100, ReplacementPolicy::kLru);
-  cache.Insert(MakeEntry("/empty@c", 0), 0);
-  EXPECT_NE(cache.Peek("/empty@c"), nullptr);
+  cache.Insert(MakeEntry("/empty", 0), 0);
+  EXPECT_NE(cache.Peek(Key("/empty")), nullptr);
   EXPECT_EQ(cache.bytes_used(), 0u);
 }
 
 TEST(ProxyCache, ManyInsertionsStayWithinCapacity) {
   ProxyCache cache(1000, ReplacementPolicy::kExpiredFirstLru);
   for (int i = 0; i < 500; ++i) {
-    cache.Insert(MakeEntry("/doc" + std::to_string(i) + "@c", 90,
+    cache.Insert(MakeEntry("/doc" + std::to_string(i), 90,
                            /*ttl=*/i * 10),
                  i * 5);
     EXPECT_LE(cache.bytes_used(), 1000u);

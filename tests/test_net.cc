@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "core/id_space.h"
 #include "net/message.h"
 #include "net/wire.h"
 
@@ -11,33 +14,44 @@ namespace {
 
 // --- wire sizes ----------------------------------------------------------------
 
+// The names the wire-size tests measure, in one id space.
+struct SizedNames {
+  core::IdSpace ids;
+  core::DocId doc(std::string_view url) { return ids.docs.Intern(url); }
+  core::SiteId site(std::string_view name) { return ids.sites.Intern(name); }
+};
+
 TEST(WireSize, ControlMessagesAreHeaderPlusFields) {
-  Request request;
-  request.url = "/a";
-  request.client_id = "c1";
-  EXPECT_EQ(WireSize(request), kControlHeaderBytes + 4);
+  SizedNames names;
+  DocRequest request;
+  request.doc = names.doc("/a");
+  request.site = names.site("c1");
+  EXPECT_EQ(WireSize(request, names.ids), kControlHeaderBytes + 4);
 }
 
 TEST(WireSize, Reply200IncludesBody) {
-  Reply reply;
+  SizedNames names;
+  DocReply reply;
   reply.type = MessageType::kReply200;
-  reply.url = "/a";
+  reply.doc = names.doc("/a");
   reply.body_bytes = 5000;
-  EXPECT_EQ(WireSize(reply), kControlHeaderBytes + 2 + 5000);
+  EXPECT_EQ(WireSize(reply, names.ids), kControlHeaderBytes + 2 + 5000);
 }
 
 TEST(WireSize, Reply304HasNoBody) {
-  Reply reply;
+  SizedNames names;
+  DocReply reply;
   reply.type = MessageType::kReply304;
-  reply.url = "/abc";
-  EXPECT_EQ(WireSize(reply), kControlHeaderBytes + 4);
+  reply.doc = names.doc("/abc");
+  EXPECT_EQ(WireSize(reply, names.ids), kControlHeaderBytes + 4);
 }
 
 TEST(WireSize, InvalidationCountsAllIdentifiers) {
-  Invalidation inv;
-  inv.url = "/x";
-  inv.client_id = "site";
-  EXPECT_EQ(WireSize(inv), kControlHeaderBytes + 6);
+  SizedNames names;
+  DocInvalidation inv;
+  inv.doc = names.doc("/x");
+  inv.site = names.site("site");
+  EXPECT_EQ(WireSize(inv, names.ids), kControlHeaderBytes + 6);
 }
 
 TEST(MessageTypeName, AllNamed) {
@@ -190,16 +204,18 @@ TEST(Wire, BatchInvalidationRejectsCountMismatch) {
 }
 
 TEST(WireSize, BatchInvalidationAmortizesOneHeader) {
-  BatchInvalidation batch;
-  batch.client_id = "site";
-  batch.urls = {"/ab", "/cdef"};
+  SizedNames names;
+  const core::SiteId site = names.site("site");
+  const std::vector<core::DocId> docs = {names.doc("/ab"), names.doc("/cdef")};
   // One control header for the whole frame, versus one per URL unbatched:
   // header + "site" + "/ab" + "/cdef".
-  EXPECT_EQ(WireSize(batch), kControlHeaderBytes + 4 + 3 + 5);
-  Invalidation single;
-  single.url = "/ab";
-  single.client_id = "site";
-  EXPECT_LT(WireSize(batch), 2 * WireSize(single));
+  EXPECT_EQ(BatchWireSize(site, docs, names.ids),
+            kControlHeaderBytes + 4 + 3 + 5);
+  DocInvalidation single;
+  single.doc = docs[0];
+  single.site = site;
+  EXPECT_LT(BatchWireSize(site, docs, names.ids),
+            2 * WireSize(single, names.ids));
 }
 
 TEST(Wire, NotifyRoundTrip) {

@@ -204,30 +204,6 @@ TEST(TraceReader, SummaryReportMentionsProblems) {
 namespace webcc::replay {
 namespace {
 
-// --- ParseLeafIndex regression (the old std::stoi would throw or accept
-// --- garbage like "leaf-12abc") -----------------------------------------------
-
-TEST(ParseLeafIndex, AcceptsExactForm) {
-  int index = -1;
-  EXPECT_TRUE(ParseLeafIndex("leaf-0", index));
-  EXPECT_EQ(index, 0);
-  EXPECT_TRUE(ParseLeafIndex("leaf-37", index));
-  EXPECT_EQ(index, 37);
-}
-
-TEST(ParseLeafIndex, RejectsMalformedNames) {
-  int index = 123;
-  EXPECT_FALSE(ParseLeafIndex("", index));
-  EXPECT_FALSE(ParseLeafIndex("leaf-", index));
-  EXPECT_FALSE(ParseLeafIndex("leaf", index));
-  EXPECT_FALSE(ParseLeafIndex("leaf-abc", index));
-  EXPECT_FALSE(ParseLeafIndex("leaf-12abc", index));   // trailing garbage
-  EXPECT_FALSE(ParseLeafIndex("leaf--1", index));      // negative
-  EXPECT_FALSE(ParseLeafIndex("LEAF-1", index));       // wrong case
-  EXPECT_FALSE(ParseLeafIndex("leaf-99999999999999999999", index));  // overflow
-  EXPECT_EQ(index, 123);  // untouched on every failure
-}
-
 // --- replay integration: farm trace merge + reconciliation --------------------
 
 trace::Trace SmallTrace() {

@@ -3,9 +3,13 @@
 // of the two protocols relative to plain adaptive TTL.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/piggyback.h"
+#include "http/cache_key.h"
 #include "http/proxy_cache.h"
 #include "replay/engine.h"
 #include "trace/workload.h"
@@ -20,19 +24,21 @@ TEST(PcvValidate, SplitsFreshFromChanged) {
   store.Add("/fresh", 100, 10);
   store.Add("/changed", 100, 10);
   store.Touch("/changed", 50);
+  core::IdSpace& ids = store.ids();
+  const core::SiteId c = ids.sites.Intern("c");
 
   std::vector<core::PcvItem> items = {
-      {"/fresh", "c", 10},
-      {"/changed", "c", 10},
-      {"/gone", "c", 10},
+      {ids.docs.Find("/fresh"), c, 10},
+      {ids.docs.Find("/changed"), c, 10},
+      {ids.docs.Find("/gone"), c, 10},
   };
   const auto verdicts = core::ValidatePiggyback(store, items);
   ASSERT_EQ(verdicts.size(), 3u);
   EXPECT_FALSE(verdicts[0].invalid);
   EXPECT_TRUE(verdicts[1].invalid);
   EXPECT_TRUE(verdicts[2].invalid);  // deleted at origin => invalid
-  EXPECT_EQ(verdicts[0].url, "/fresh");
-  EXPECT_EQ(verdicts[0].owner, "c");
+  EXPECT_EQ(ids.DocName(verdicts[0].doc), "/fresh");
+  EXPECT_EQ(ids.SiteName(verdicts[0].site), "c");
 }
 
 TEST(PcvValidate, EmptyBatch) {
@@ -41,69 +47,86 @@ TEST(PcvValidate, EmptyBatch) {
 }
 
 TEST(PcvBytes, RequestScalesWithItems) {
-  std::vector<core::PcvItem> items = {{"/a", "c", 0}, {"/bb", "c", 0}};
-  const auto bytes = core::PcvRequestExtraBytes(items);
-  EXPECT_GT(bytes, items[0].url.size() + items[1].url.size());
-  EXPECT_EQ(core::PcvRequestExtraBytes({}), 0u);
+  core::IdSpace ids;
+  const core::SiteId c = ids.sites.Intern("c");
+  std::vector<core::PcvItem> items = {{ids.docs.Intern("/a"), c, 0},
+                                      {ids.docs.Intern("/bb"), c, 0}};
+  const auto bytes = core::PcvRequestExtraBytes(items, ids);
+  EXPECT_GT(bytes, std::string("/a").size() + std::string("/bb").size());
+  EXPECT_EQ(core::PcvRequestExtraBytes({}, ids), 0u);
 }
 
 TEST(PcvBytes, ReplyCountsOnlyInvalid) {
-  std::vector<core::PcvVerdict> verdicts = {{"/a", "c", false},
-                                            {"/bb", "c", true}};
+  core::IdSpace ids;
+  const core::SiteId c = ids.sites.Intern("c");
+  std::vector<core::PcvVerdict> verdicts = {{ids.docs.Intern("/a"), c, false},
+                                            {ids.docs.Intern("/bb"), c, true}};
   // The accounting matches the historical url@owner key framing.
-  EXPECT_EQ(core::PcvReplyExtraBytes(verdicts),
+  EXPECT_EQ(core::PcvReplyExtraBytes(verdicts, ids),
             std::string("/bb@c").size() + 2);
 }
 
 // --- ModificationLog --------------------------------------------------------------
 
+// The log records doc ids; the tests name their documents through one space.
+core::IdSpace& LogIds() {
+  static core::IdSpace ids;
+  return ids;
+}
+core::DocId Doc(std::string_view path) { return LogIds().docs.Intern(path); }
+std::vector<core::DocId> Docs(std::initializer_list<std::string_view> paths) {
+  std::vector<core::DocId> docs;
+  for (const std::string_view path : paths) docs.push_back(Doc(path));
+  return docs;
+}
+
 TEST(ModificationLog, CollectsWindowExclusiveInclusive) {
   core::ModificationLog log;
-  log.Record(10, "/a");
-  log.Record(20, "/b");
-  log.Record(30, "/c");
+  log.Record(10, Doc("/a"));
+  log.Record(20, Doc("/b"));
+  log.Record(30, Doc("/c"));
   const auto window = log.CollectSince(10, 30, 100);
-  EXPECT_EQ(window.urls, (std::vector<std::string>{"/b", "/c"}));
+  EXPECT_EQ(window.docs, Docs({"/b", "/c"}));
   EXPECT_EQ(window.advanced_to, 30);
 }
 
 TEST(ModificationLog, EmptyWindowWhenNothingNew) {
   core::ModificationLog log;
-  log.Record(10, "/a");
-  EXPECT_TRUE(log.CollectSince(10, 50, 100).urls.empty());
-  EXPECT_TRUE(log.CollectSince(50, 50, 100).urls.empty());
-  EXPECT_TRUE(log.CollectSince(60, 50, 100).urls.empty());
+  log.Record(10, Doc("/a"));
+  EXPECT_TRUE(log.CollectSince(10, 50, 100).docs.empty());
+  EXPECT_TRUE(log.CollectSince(50, 50, 100).docs.empty());
+  EXPECT_TRUE(log.CollectSince(60, 50, 100).docs.empty());
 }
 
 TEST(ModificationLog, DeduplicatesUrls) {
   core::ModificationLog log;
-  log.Record(10, "/a");
-  log.Record(20, "/a");
-  log.Record(30, "/b");
+  log.Record(10, Doc("/a"));
+  log.Record(20, Doc("/a"));
+  log.Record(30, Doc("/b"));
   const auto window = log.CollectSince(0, 40, 100);
-  EXPECT_EQ(window.urls, (std::vector<std::string>{"/a", "/b"}));
+  EXPECT_EQ(window.docs, Docs({"/a", "/b"}));
   EXPECT_EQ(window.advanced_to, 40);
 }
 
 TEST(ModificationLog, CapTruncatesAndHoldsCursor) {
   core::ModificationLog log;
-  log.Record(10, "/a");
-  log.Record(20, "/b");
-  log.Record(30, "/c");
+  log.Record(10, Doc("/a"));
+  log.Record(20, Doc("/b"));
+  log.Record(30, Doc("/c"));
   const auto first = log.CollectSince(0, 100, 2);
-  EXPECT_EQ(first.urls, (std::vector<std::string>{"/a", "/b"}));
+  EXPECT_EQ(first.docs, Docs({"/a", "/b"}));
   EXPECT_EQ(first.advanced_to, 20);  // stops at the last included entry
   const auto rest = log.CollectSince(first.advanced_to, 100, 2);
-  EXPECT_EQ(rest.urls, (std::vector<std::string>{"/c"}));
+  EXPECT_EQ(rest.docs, Docs({"/c"}));
   EXPECT_EQ(rest.advanced_to, 100);
 }
 
 TEST(ModificationLog, FutureModificationsExcluded) {
   core::ModificationLog log;
-  log.Record(10, "/a");
-  log.Record(99, "/later");
+  log.Record(10, Doc("/a"));
+  log.Record(99, Doc("/later"));
   const auto window = log.CollectSince(0, 50, 100);
-  EXPECT_EQ(window.urls, (std::vector<std::string>{"/a"}));
+  EXPECT_EQ(window.docs, Docs({"/a"}));
   EXPECT_EQ(window.advanced_to, 50);
 }
 
@@ -112,7 +135,7 @@ TEST(ModificationLog, FutureModificationsExcluded) {
 http::CacheEntry Entry(const std::string& url, const std::string& owner,
                        Time ttl) {
   http::CacheEntry entry;
-  entry.key = url + "@" + owner;
+  entry.key = http::ComposeCacheKey(url, owner);
   entry.url = url;
   entry.owner = owner;
   entry.size_bytes = 10;
@@ -129,7 +152,7 @@ TEST(ProxyCachePiggyback, EraseByUrlRemovesAllOwners) {
   EXPECT_EQ(cache.EraseByUrl("/a"), 2u);
   EXPECT_EQ(cache.entry_count(), 1u);
   EXPECT_EQ(cache.EraseByUrl("/a"), 0u);
-  EXPECT_NE(cache.Peek("/b@alice"), nullptr);
+  EXPECT_NE(cache.Peek(http::ComposeCacheKey("/b", "alice")), nullptr);
 }
 
 TEST(ProxyCachePiggyback, EraseByUrlAfterReplacement) {
@@ -155,7 +178,7 @@ TEST(ProxyCachePiggyback, TakeExpiredConsumesRecords) {
   EXPECT_EQ(cache.TakeExpired(500, 10).size(), 1u);
   // Consumed: a second call finds nothing until re-armed.
   EXPECT_TRUE(cache.TakeExpired(500, 10).empty());
-  http::CacheEntry* entry = cache.Peek("/a@c");
+  http::CacheEntry* entry = cache.Peek(http::ComposeCacheKey("/a", "c"));
   ASSERT_NE(entry, nullptr);
   cache.SetTtlExpiry(*entry, 20);
   EXPECT_EQ(cache.TakeExpired(500, 10).size(), 1u);
@@ -174,7 +197,7 @@ TEST(ProxyCachePiggyback, TakeExpiredSkipsErasedEntries) {
   http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
   cache.Insert(Entry("/a", "c", 10), 0);
   cache.Insert(Entry("/b", "c", 20), 0);
-  cache.Erase("/a@c");
+  cache.Erase(http::ComposeCacheKey("/a", "c"));
   const auto expired = cache.TakeExpired(500, 10);
   ASSERT_EQ(expired.size(), 1u);
   EXPECT_EQ(expired[0]->url, "/b");

@@ -7,10 +7,14 @@
 // deterministic.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/analysis.h"
+#include "obs/trace_reader.h"
+#include "obs/trace_sink.h"
 #include "replay/engine.h"
 #include "trace/workload.h"
 #include "util/rng.h"
@@ -336,6 +340,49 @@ TEST(ReplayHierarchy, DeterministicAndStaleOnlyInFlight) {
   EXPECT_EQ(a.parent_hits, b.parent_hits);
   EXPECT_EQ(a.strong_violations, 0u);
   EXPECT_EQ(a.stale_serves, a.stale_while_invalidation_in_flight);
+}
+
+// Tallies the sites invalidation deliveries address, and keeps the whole
+// JSONL stream for a digest.
+class DeliverySiteSink final : public obs::TraceSink {
+ public:
+  void Emit(const obs::TraceEvent& event) override {
+    buffer_.Emit(event);
+    if (event.type != obs::EventType::kInvalidateDelivered) return;
+    if (event.site.rfind("proxy-", 0) == 0) ++to_proxy_sites;
+    if (event.site == "parent") ++to_parent;
+    if (event.site.rfind("leaf-", 0) == 0) ++to_leaf_names;
+  }
+  void WriteRaw(std::string_view jsonl) override { buffer_.WriteRaw(jsonl); }
+  std::uint64_t Digest() const { return obs::DigestJsonl(buffer_.Text()); }
+
+  std::uint64_t to_proxy_sites = 0;
+  std::uint64_t to_parent = 0;
+  std::uint64_t to_leaf_names = 0;
+
+ private:
+  obs::BufferTraceSink buffer_;
+};
+
+TEST(ReplayHierarchy, LeafForwardsAddressProxySitesPinned) {
+  // The parent's interest table keys on each leaf's proxy site, so every
+  // forward is addressed (in its bytes and its events) to "proxy-<index>".
+  // Pins the run's byte count and event stream, so any drift in how
+  // forwards are named, sized or ordered shows up here.
+  const trace::Trace trace = SmallTrace(/*seed=*/29, /*requests=*/3000);
+  ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
+  config.hierarchical = true;
+  config.mean_lifetime = 2 * kHour;
+  DeliverySiteSink sink;
+  config.trace_sink = &sink;
+  const ReplayMetrics metrics = RunReplay(config);
+  EXPECT_EQ(sink.to_leaf_names, 0u);
+  EXPECT_EQ(sink.to_proxy_sites, metrics.hierarchy_forwards);
+  EXPECT_EQ(sink.to_parent + sink.to_proxy_sites,
+            metrics.invalidations_delivered);
+  EXPECT_EQ(metrics.hierarchy_forwards, 351u);
+  EXPECT_EQ(metrics.message_bytes, 21968427u);
+  EXPECT_EQ(sink.Digest(), 5211911277328473339u);
 }
 
 // --- conformance with the analytic model ----------------------------------------------

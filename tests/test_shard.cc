@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/hash_ring.h"
@@ -95,17 +98,42 @@ TEST(HashRing, GrowthMovesOnlyCapturedKeysOntoTheNewShard) {
 
 // --- per-shard outbox -------------------------------------------------------
 
+// The outbox queues (site, doc) ids; the tests name both through one space.
+core::IdSpace& OutboxIds() {
+  static core::IdSpace ids;
+  return ids;
+}
+core::SiteId Site(std::string_view name) {
+  return OutboxIds().sites.Intern(name);
+}
+core::DocId Doc(std::string_view path) { return OutboxIds().docs.Intern(path); }
+std::string SiteOf(const InvalidationOutbox::Batch& batch) {
+  return OutboxIds().SiteName(batch.site);
+}
+std::vector<std::string> UrlsOf(const InvalidationOutbox::Batch& batch) {
+  std::vector<std::string> urls;
+  for (const core::DocId doc : batch.docs) {
+    urls.push_back(OutboxIds().DocName(doc));
+  }
+  return urls;
+}
+std::vector<InvalidationOutbox::Batch> DrainAll(
+    InvalidationOutbox& outbox,
+    const std::function<bool(core::SiteId)>& ready = nullptr) {
+  return outbox.Drain(OutboxIds().sites, ready);
+}
+
 TEST(Outbox, CoalescesDupWritesIntoOneEntry) {
   InvalidationOutbox outbox;
-  EXPECT_FALSE(outbox.Add("site-a", "/x", 11, 100));
-  EXPECT_TRUE(outbox.Add("site-a", "/x", 12, 250));  // dup-write: coalesced
+  EXPECT_FALSE(outbox.Add(Site("site-a"), Doc("/x"), 11, 100));
+  // dup-write: coalesced
+  EXPECT_TRUE(outbox.Add(Site("site-a"), Doc("/x"), 12, 250));
   EXPECT_EQ(outbox.pending_urls(), 1u);
 
-  const std::vector<InvalidationOutbox::Batch> batches = outbox.Drain();
+  const std::vector<InvalidationOutbox::Batch> batches = DrainAll(outbox);
   ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].site, "site-a");
-  ASSERT_EQ(batches[0].urls.size(), 1u);
-  EXPECT_EQ(batches[0].urls[0], "/x");
+  EXPECT_EQ(SiteOf(batches[0]), "site-a");
+  EXPECT_EQ(UrlsOf(batches[0]), (std::vector<std::string>{"/x"}));
   ASSERT_EQ(batches[0].write_ids.size(), 1u);
   EXPECT_EQ(batches[0].write_ids[0], (std::vector<std::uint64_t>{11, 12}));
   EXPECT_EQ(batches[0].oldest_queued, 100);
@@ -118,12 +146,13 @@ TEST(Outbox, RetriedQueueAcksEachWriteOnce) {
   // dropped frame — made the drained batch ack the same delivery machine
   // twice. The retry must coalesce to a no-op.
   InvalidationOutbox outbox;
-  EXPECT_FALSE(outbox.Add("site-a", "/x", 11, 100));
-  EXPECT_TRUE(outbox.Add("site-a", "/x", 11, 250));  // retry: same write
-  EXPECT_TRUE(outbox.Add("site-a", "/x", 12, 300));  // distinct write: kept
-  EXPECT_TRUE(outbox.Add("site-a", "/x", 12, 350));  // retry of the second
+  EXPECT_FALSE(outbox.Add(Site("site-a"), Doc("/x"), 11, 100));
+  // A retry of the same write, a distinct write (kept), and a retry of that.
+  EXPECT_TRUE(outbox.Add(Site("site-a"), Doc("/x"), 11, 250));
+  EXPECT_TRUE(outbox.Add(Site("site-a"), Doc("/x"), 12, 300));
+  EXPECT_TRUE(outbox.Add(Site("site-a"), Doc("/x"), 12, 350));
 
-  const std::vector<InvalidationOutbox::Batch> batches = outbox.Drain();
+  const std::vector<InvalidationOutbox::Batch> batches = DrainAll(outbox);
   ASSERT_EQ(batches.size(), 1u);
   ASSERT_EQ(batches[0].write_ids.size(), 1u);
   EXPECT_EQ(batches[0].write_ids[0], (std::vector<std::uint64_t>{11, 12}));
@@ -131,42 +160,42 @@ TEST(Outbox, RetriedQueueAcksEachWriteOnce) {
 
 TEST(Outbox, DrainsSitesSortedAndUrlsFirstQueued) {
   InvalidationOutbox outbox;
-  outbox.Add("zeta", "/b", 1, 10);
-  outbox.Add("alpha", "/z", 2, 20);
-  outbox.Add("zeta", "/a", 3, 30);
-  outbox.Add("alpha", "/a", 4, 40);
+  outbox.Add(Site("zeta"), Doc("/b"), 1, 10);
+  outbox.Add(Site("alpha"), Doc("/z"), 2, 20);
+  outbox.Add(Site("zeta"), Doc("/a"), 3, 30);
+  outbox.Add(Site("alpha"), Doc("/a"), 4, 40);
 
-  const std::vector<InvalidationOutbox::Batch> batches = outbox.Drain();
+  const std::vector<InvalidationOutbox::Batch> batches = DrainAll(outbox);
   ASSERT_EQ(batches.size(), 2u);
-  EXPECT_EQ(batches[0].site, "alpha");
-  EXPECT_EQ(batches[0].urls, (std::vector<std::string>{"/z", "/a"}));
+  EXPECT_EQ(SiteOf(batches[0]), "alpha");
+  EXPECT_EQ(UrlsOf(batches[0]), (std::vector<std::string>{"/z", "/a"}));
   EXPECT_EQ(batches[0].oldest_queued, 20);
-  EXPECT_EQ(batches[1].site, "zeta");
-  EXPECT_EQ(batches[1].urls, (std::vector<std::string>{"/b", "/a"}));
+  EXPECT_EQ(SiteOf(batches[1]), "zeta");
+  EXPECT_EQ(UrlsOf(batches[1]), (std::vector<std::string>{"/b", "/a"}));
   EXPECT_EQ(batches[1].oldest_queued, 10);
 }
 
 TEST(Outbox, ReadyPredicateHoldsUnreachableSites) {
   InvalidationOutbox outbox;
-  outbox.Add("reachable", "/a", 1, 10);
-  outbox.Add("partitioned", "/b", 2, 20);
+  outbox.Add(Site("reachable"), Doc("/a"), 1, 10);
+  outbox.Add(Site("partitioned"), Doc("/b"), 2, 20);
 
-  const auto only_reachable = [](const std::string& site) {
-    return site == "reachable";
+  const auto only_reachable = [](core::SiteId site) {
+    return site == Site("reachable");
   };
   std::vector<InvalidationOutbox::Batch> batches =
-      outbox.Drain(only_reachable);
+      DrainAll(outbox, only_reachable);
   ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].site, "reachable");
+  EXPECT_EQ(SiteOf(batches[0]), "reachable");
   EXPECT_FALSE(outbox.empty());
   EXPECT_EQ(outbox.pending_sites(), 1u);
 
   // The held site keeps coalescing while partitioned: two writes of /b
   // become ONE entry carrying both write ids, delivered after the heal.
-  EXPECT_TRUE(outbox.Add("partitioned", "/b", 3, 30));
-  batches = outbox.Drain();
+  EXPECT_TRUE(outbox.Add(Site("partitioned"), Doc("/b"), 3, 30));
+  batches = DrainAll(outbox);
   ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].site, "partitioned");
+  EXPECT_EQ(SiteOf(batches[0]), "partitioned");
   ASSERT_EQ(batches[0].write_ids.size(), 1u);
   EXPECT_EQ(batches[0].write_ids[0], (std::vector<std::uint64_t>{2, 3}));
   EXPECT_TRUE(outbox.empty());
@@ -285,6 +314,94 @@ TEST(ShardedAccelerator, RecoverBroadcastsUnionOfShardRegistries) {
   EXPECT_TRUE(std::is_sorted(baseline.begin(), baseline.end()));
   EXPECT_EQ(drive(4), baseline);
   EXPECT_EQ(drive(8), baseline);
+}
+
+// --- name order survives ids ------------------------------------------------
+
+// Records (url, site) for every event of one type, in emission order.
+class SiteOrderSink final : public obs::TraceSink {
+ public:
+  explicit SiteOrderSink(obs::EventType type) : type_(type) {}
+  void Emit(const obs::TraceEvent& event) override {
+    if (event.type == type_) {
+      pairs.emplace_back(std::string(event.url), std::string(event.site));
+    }
+  }
+  void WriteRaw(std::string_view) override {}
+  std::vector<std::pair<std::string, std::string>> pairs;
+
+ private:
+  obs::EventType type_;
+};
+
+std::vector<std::string> ClientsOf(const std::vector<net::Invalidation>& invs) {
+  std::vector<std::string> sites;
+  for (const net::Invalidation& inv : invs) sites.push_back(inv.client_id);
+  return sites;
+}
+
+TEST(ShardedAccelerator, PublishedListsStayInNameOrderNotIdOrder) {
+  // Site ids follow first sight, and these sites are first seen in an order
+  // that is not name order: as strings "10.0.0.10" < "10.0.0.100" <
+  // "10.0.0.2" < "10.0.0.9". Every list the tier publishes must come out in
+  // name order, exactly as when it keyed on strings — at 1 and 4 shards.
+  const std::vector<std::string> first_seen = {"10.0.0.9", "10.0.0.10",
+                                               "10.0.0.2", "10.0.0.100"};
+  const std::vector<std::string> by_name = {"10.0.0.10", "10.0.0.100",
+                                            "10.0.0.2", "10.0.0.9"};
+  const std::vector<std::string> urls = SampleUrls(8);
+  std::vector<std::string> sorted_urls = urls;
+  std::sort(sorted_urls.begin(), sorted_urls.end());
+
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    http::DocumentStore docs;
+    for (const std::string& url : urls) docs.Add(url, 512, 0);
+    core::LeaseConfig lease;
+    lease.mode = core::LeaseMode::kFixed;
+    lease.duration = 10 * kMinute;
+    ShardedAccelerator accel(docs, lease, shards);
+    SiteOrderSink expiries(obs::EventType::kLeaseExpiry);
+    accel.set_trace_sink(&expiries);
+    for (const std::string& site : first_seen) {
+      for (const std::string& url : urls) {
+        net::Request request;
+        request.url = url;
+        request.client_id = site;
+        ASSERT_TRUE(accel.HandleRequest(request, kMinute).has_value());
+      }
+    }
+
+    // Snapshot (and, at 4 shards, its cross-shard merge): (url, site) order.
+    std::vector<std::pair<std::string, std::string>> expected;
+    for (const std::string& url : sorted_urls) {
+      for (const std::string& site : by_name) expected.emplace_back(url, site);
+    }
+    std::vector<std::pair<std::string, std::string>> snapshot;
+    for (const core::InvalidationTable::Snapshot& entry :
+         accel.SnapshotEntries()) {
+      snapshot.emplace_back(entry.url, entry.site);
+    }
+    EXPECT_EQ(snapshot, expected);
+
+    // Invalidation fan-out for one write: site-name order.
+    docs.Touch(urls[0], 2 * kMinute);
+    EXPECT_EQ(ClientsOf(accel.HandleNotify(net::Notify{urls[0]}, 2 * kMinute)),
+              by_name);
+
+    // Lease-expiry emission from the (merged) prune: (url, site) order.
+    expected.erase(std::remove_if(expected.begin(), expected.end(),
+                                  [&urls](const auto& pair) {
+                                    return pair.first == urls[0];
+                                  }),
+                   expected.end());
+    accel.PruneExpired(kHour);
+    EXPECT_EQ(expiries.pairs, expected);
+
+    // Recovery broadcast over the union of the shard registries.
+    accel.Crash();
+    EXPECT_EQ(ClientsOf(accel.Recover()), by_name);
+  }
 }
 
 // --- replay: serialized decision traces invariant across shard counts -------

@@ -19,6 +19,7 @@
 #include "core/lease.h"
 #include "core/site_list.h"
 #include "core/timer_wheel.h"
+#include "named_table.h"
 #include "obs/trace_sink.h"
 
 namespace webcc::core {
@@ -271,7 +272,7 @@ TEST(InvalidationTableProperty, WheelPruneMatchesFullScanOver1e5Pairs) {
   LeaseConfig lease;
   lease.mode = LeaseMode::kFixed;
   lease.duration = kHour;  // wheel revolution: 2h; expiries run far past it
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   ScanModel model;
   std::mt19937 rng(0x5eed);
 
@@ -331,7 +332,7 @@ TEST(InvalidationTable, TakePathEmitsLeaseExpiryForLapsedEntries) {
   LeaseConfig lease;
   lease.mode = LeaseMode::kFixed;
   lease.duration = kDay;
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   obs::BufferTraceSink sink;
   table.set_trace_sink(&sink);
   table.Register("/a", "c-dead", net::MessageType::kGet, 0);  // expires 24h
@@ -349,7 +350,7 @@ TEST(InvalidationTable, ExpiryCounterReconcilesAcrossBothPaths) {
   LeaseConfig lease;
   lease.mode = LeaseMode::kFixed;
   lease.duration = kHour;
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   obs::BufferTraceSink sink;
   table.set_trace_sink(&sink);
   for (int i = 0; i < 6; ++i) {
@@ -375,7 +376,7 @@ TEST(InvalidationTable, RenewalRefreshesInPlace) {
   LeaseConfig lease;
   lease.mode = LeaseMode::kFixed;
   lease.duration = kHour;
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   table.Register("/a", "c1", net::MessageType::kGet, 0);
   EXPECT_EQ(table.lease_renewals(), 0u);
   table.Register("/a", "c1", net::MessageType::kGet, 30 * kMinute);
@@ -396,7 +397,7 @@ TEST(InvalidationTable, RestoreDropsDeadLeases) {
   LeaseConfig lease;
   lease.mode = LeaseMode::kFixed;
   lease.duration = kHour;
-  InvalidationTable table(lease);
+  NamedTable table(lease);
   EXPECT_FALSE(table.Restore("/a", "stale", 30 * kMinute, kHour));
   EXPECT_FALSE(table.Restore("/a", "boundary", kHour, kHour));  // half-open
   EXPECT_TRUE(table.Restore("/a", "alive", kHour + 1, kHour));

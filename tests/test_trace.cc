@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "replay/engine.h"
 #include "trace/clf.h"
 #include "trace/filter.h"
 #include "trace/modifier.h"
@@ -178,6 +179,51 @@ TEST(Summary, ValidateCatchesTimestampBeyondDuration) {
   trace.clients = {"c"};
   trace.records = {{2 * kSecond, 0, 0}};
   EXPECT_NE(trace.Validate(), "");
+}
+
+TEST(Summary, ValidateCatchesDuplicateDocumentPath) {
+  // Document indices are identities: two indices for one path would either
+  // merge (a path-keyed store) or split (an id-keyed one) silently.
+  Trace trace;
+  trace.duration = kSecond;
+  trace.documents = {{"/a", 1}, {"/b", 1}, {"/a", 2}};
+  trace.clients = {"c"};
+  trace.records = {{0, 0, 0}, {0, 0, 2}};
+  const std::string problem = trace.Validate();
+  EXPECT_NE(problem.find("document 2: duplicate path /a"), std::string::npos)
+      << problem;
+}
+
+TEST(Summary, ValidateCatchesDuplicateClientId) {
+  Trace trace;
+  trace.duration = kSecond;
+  trace.documents = {{"/a", 1}};
+  trace.clients = {"10.0.0.1", "10.0.0.2", "10.0.0.1"};
+  trace.records = {{0, 0, 0}, {0, 2, 0}};
+  const std::string problem = trace.Validate();
+  EXPECT_NE(problem.find("client 2: duplicate id 10.0.0.1"), std::string::npos)
+      << problem;
+}
+
+TEST(Summary, ReplayRefusesDuplicateNames) {
+  // The engine seeds its id space from the trace and checks every name
+  // lands on its own index, so an unvalidated duplicate cannot slip in.
+  Trace doc_dup;
+  doc_dup.duration = kSecond;
+  doc_dup.documents = {{"/a", 1}, {"/a", 1}};
+  doc_dup.clients = {"c"};
+  doc_dup.records = {{0, 0, 1}};
+  replay::ReplayConfig config;
+  config.trace = &doc_dup;
+  EXPECT_DEATH(replay::RunReplay(config), "trace names a document twice");
+
+  Trace client_dup;
+  client_dup.duration = kSecond;
+  client_dup.documents = {{"/a", 1}};
+  client_dup.clients = {"c", "c"};
+  client_dup.records = {{0, 1, 0}};
+  config.trace = &client_dup;
+  EXPECT_DEATH(replay::RunReplay(config), "trace names a client twice");
 }
 
 // --- CLF ------------------------------------------------------------------------------
