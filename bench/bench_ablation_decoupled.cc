@@ -63,9 +63,9 @@ replay::ReplayConfig SweepConfig(std::uint32_t shards, bool batched) {
   config.protocol = core::Protocol::kInvalidation;
   config.trace = &BurstTrace();
   config.num_pseudo_clients = 40;  // one site per client
-  config.serialized_invalidation = false;
+  config.fan_out =
+      batched ? replay::FanOut::kBatched : replay::FanOut::kDecoupled;
   config.accelerator_shards = shards;
-  config.invalidation_batch_window = batched ? 100 * kMillisecond : 0;
   // The second write lands 10us of trace time after the first. Note the
   // coalesced column stays ~0 here by design of the protocol, not of the
   // outbox: the first write's fan-out deregisters every site it targets, so
@@ -130,7 +130,7 @@ int main() {
     replay::ReplayConfig serialized = replay::MakeReplayConfig(
         spec, core::Protocol::kInvalidation, bench::TraceFor(spec.trace));
     replay::ReplayConfig decoupled = serialized;
-    decoupled.serialized_invalidation = false;
+    decoupled.fan_out = replay::FanOut::kDecoupled;
     configs.push_back(serialized);
     configs.push_back(decoupled);
   }

@@ -24,7 +24,7 @@ int main() {
     replay::ReplayConfig unicast = replay::MakeReplayConfig(
         spec, core::Protocol::kInvalidation, bench::TraceFor(spec.trace));
     replay::ReplayConfig multicast = unicast;
-    multicast.multicast_invalidation = true;
+    multicast.fan_out = replay::FanOut::kMulticast;
     configs.push_back(unicast);
     configs.push_back(multicast);
   }

@@ -203,6 +203,14 @@ std::optional<core::Protocol> ParseProtocol(const std::string& name) {
   return std::nullopt;
 }
 
+std::optional<replay::FanOut> ParseFanOut(const std::string& name) {
+  if (name == "serialized") return replay::FanOut::kSerialized;
+  if (name == "decoupled") return replay::FanOut::kDecoupled;
+  if (name == "batched") return replay::FanOut::kBatched;
+  if (name == "multicast") return replay::FanOut::kMulticast;
+  return std::nullopt;
+}
+
 std::optional<core::LeaseMode> ParseLeaseMode(const std::string& name) {
   if (name == "none") return core::LeaseMode::kNone;
   if (name == "fixed") return core::LeaseMode::kFixed;
@@ -380,7 +388,6 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
   config.proxy_tier.tier2_capacity_bytes =
       static_cast<std::uint64_t>(*tier2_bytes);
   const std::string lease_name = flags.GetString("lease", "");
-  const bool two_tier_switch = flags.GetBool("two-tier");
   if (!lease_name.empty()) {
     // Explicit lease mode; --lease-days still sets the duration.
     const auto lease_mode = ParseLeaseMode(lease_name);
@@ -389,25 +396,23 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
           << "' (valid: none, fixed, two-tier)\n";
       return 2;
     }
-    if (two_tier_switch) {
-      err << "error: --lease and --two-tier are mutually exclusive\n";
-      return 2;
-    }
     config.lease.mode = *lease_mode;
     if (*lease_mode != core::LeaseMode::kNone) {
       config.lease.duration =
           *lease_days > 0 ? FromSeconds(*lease_days * 86400) : input_duration;
     }
-  } else if (two_tier_switch) {
-    config.lease.mode = core::LeaseMode::kTwoTier;
-    config.lease.duration =
-        *lease_days > 0 ? FromSeconds(*lease_days * 86400) : input_duration;
   } else if (*lease_days > 0) {
     config.lease.mode = core::LeaseMode::kFixed;
     config.lease.duration = FromSeconds(*lease_days * 86400);
   }
-  config.multicast_invalidation = flags.GetBool("multicast");
-  config.serialized_invalidation = !flags.GetBool("decoupled");
+  const std::string fan_out_name = flags.GetString("fan-out", "serialized");
+  const auto fan_out = ParseFanOut(fan_out_name);
+  if (!fan_out.has_value()) {
+    err << "error: unknown fan-out mode '" << fan_out_name
+        << "' (valid: serialized, decoupled, batched, multicast)\n";
+    return 2;
+  }
+  config.fan_out = *fan_out;
   config.journaled_recovery = !flags.GetBool("no-journal");
   const auto shards = flags.GetInt("shards", 1);
   if (!shards || *shards < 1) {
@@ -415,19 +420,6 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
     return 2;
   }
   config.accelerator_shards = static_cast<std::uint32_t>(*shards);
-  const auto batch_window_ms = flags.GetDouble("batch-window", 0);
-  if (!batch_window_ms || *batch_window_ms < 0) {
-    err << "error: invalid --batch-window (milliseconds, >= 0)\n";
-    return 2;
-  }
-  if (*batch_window_ms > 0 && config.serialized_invalidation) {
-    err << "error: --batch-window requires --decoupled (a serialized server "
-           "blocks the write until every invalidation is out, so there is "
-           "no outbox to batch)\n";
-    return 2;
-  }
-  config.invalidation_batch_window =
-      FromSeconds(*batch_window_ms / 1000.0);
 
   // Deterministic fault injection: --fault-plan loads a JSON scenario;
   // --fault-seed alone generates a random plan (the same plan every run for
@@ -752,8 +744,10 @@ void PrintUsage(std::ostream& out) {
          "             --in FILE | --preset NAME | --scenario FILE\n"
          "             [--protocol ttl|poll|invalidation|pcv|psi|all]\n"
          "             [--lifetime-days D] [--lease-days L]\n"
-         "             [--lease none|fixed|two-tier] [--two-tier]\n"
-         "             [--multicast] [--decoupled] [--cache-mb N]\n"
+         "             [--lease none|fixed|two-tier] [--cache-mb N]\n"
+         "             [--fan-out serialized|decoupled|batched|multicast]\n"
+         "             invalidation sends (default: serialized, the paper's\n"
+         "             blocking prototype; batched coalesces per site 100ms)\n"
          "             [--cache-bytes N]  exact proxy-cache budget, overrides\n"
          "             --cache-mb (the pressure ablation needs sub-MB steps)\n"
          "             [--cache-policy lru|expired-first|gds]  eviction\n"
@@ -762,9 +756,6 @@ void PrintUsage(std::ostream& out) {
          "             cache tier with its own byte budget (0 = off)\n"
          "             [--shards N]  consistent-hash the invalidation table\n"
          "             across N accelerator shards (default 1)\n"
-         "             [--batch-window MS]  with --decoupled, hold each\n"
-         "             shard's outbox MS milliseconds and coalesce same-site\n"
-         "             invalidations into one INVB frame (0 = unbatched)\n"
          "             [--fault-plan FILE]  JSON crash/partition/link-fault\n"
          "             scenario; [--fault-seed S] replays it (or, without\n"
          "             a file, generates a random plan) deterministically\n"

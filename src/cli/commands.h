@@ -11,8 +11,8 @@
 //   webcc filter    --in client.log --out server.log --browser-ttl-minutes 60
 //   webcc replay    --in access.log --protocol invalidation \
 //                   --lifetime-days 14 [--lease-days 3]
-//                   [--lease none|fixed|two-tier] [--two-tier]
-//                   [--multicast] [--decoupled] [--cache-mb 128]
+//                   [--lease none|fixed|two-tier] [--cache-mb 128]
+//                   [--fan-out serialized|decoupled|batched|multicast]
 //   webcc protocols                      # list protocol names
 #pragma once
 
@@ -20,6 +20,7 @@
 
 #include "cli/flags.h"
 #include "core/policy.h"
+#include "replay/config.h"
 
 namespace webcc::cli {
 
@@ -27,6 +28,9 @@ namespace webcc::cli {
 // and the core::ToString display names, so parse → ToString → parse
 // round-trips).
 std::optional<core::Protocol> ParseProtocol(const std::string& name);
+
+// Maps "serialized" / "decoupled" / "batched" / "multicast".
+std::optional<replay::FanOut> ParseFanOut(const std::string& name);
 
 // Maps "none" / "fixed" / "two-tier" (and the core::ToString names).
 std::optional<core::LeaseMode> ParseLeaseMode(const std::string& name);

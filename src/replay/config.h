@@ -46,22 +46,25 @@ struct ClientCosts {
   Time request_timeout = 10 * kMinute;
 };
 
-// Failure injection, keyed by trace time; each event fires at the start of
-// the first lock-step interval covering it.
-enum class FailureKind {
-  kProxyCrash,    // target = pseudo-client index; cache survives on disk
-  kProxyRecover,  // proxy marks all entries questionable
-  kServerCrash,   // accelerator loses its in-memory tables
-  kServerRecover, // server sends INVSRV to every site ever seen
-  kPartition,     // target pseudo-client <-> server link cut
-  kHeal,
+// How the accelerator sends one modification's invalidations: the paper's
+// prototype and Section 5's two suggested fixes for its worst-case latency.
+enum class FanOut : std::uint8_t {
+  // The prototype: one message per site on the shared server CPU; the
+  // check-in blocks until every invalidation is out.
+  kSerialized,
+  // "a decoupled sender": one sender per accelerator shard; no blocking.
+  kDecoupled,
+  // Decoupled, and each shard's outbox holds invalidations for kBatchWindow
+  // so a drain packs each site's into one INVB frame, coalescing duplicate
+  // (site, url) pairs across writes. Setup refuses it under `hierarchical`.
+  kBatched,
+  // "or use multicast schemes": as kSerialized, but one send (CPU and bytes)
+  // per modification; deliveries and bookkeeping stay per site.
+  kMulticast,
 };
 
-struct FailureEvent {
-  Time trace_time = 0;
-  FailureKind kind = FailureKind::kProxyCrash;
-  int target = 0;  // pseudo-client index; ignored for server events
-};
+// How long a kBatched outbox coalesces before it drains.
+inline constexpr Time kBatchWindow = 100 * kMillisecond;
 
 struct ReplayConfig {
   core::Protocol protocol = core::Protocol::kInvalidation;
@@ -126,42 +129,23 @@ struct ReplayConfig {
   core::LeaseConfig lease;
   core::PiggybackConfig piggyback;
 
-  // The paper's prototype sends all invalidations for a modification before
-  // accepting new requests (shared FIFO CPU); false models the suggested
-  // fix of a decoupled sender.
-  bool serialized_invalidation = true;
-
-  // Section 5.2's other suggested fix: "or use multicast schemes". With
-  // multicast the server pays one send (CPU and bytes) per modification
-  // regardless of list length; deliveries still reach each site
-  // individually and all consistency bookkeeping is unchanged.
-  bool multicast_invalidation = false;
+  FanOut fan_out = FanOut::kSerialized;
 
   // Accelerator shards: the invalidation table (and its write-ahead
   // journal) is split across this many shards by consistent-hashed URL,
-  // and decoupled mode runs one dedicated sender per shard. 1 reproduces
-  // the paper's single accelerator. Protocol decisions and (in serialized
-  // mode) all replay metrics except sitelist_storage_bytes are invariant
-  // in this knob — tests/test_shard.cc proves it.
+  // and decoupled/batched fan-out runs one dedicated sender per shard. 1
+  // reproduces the paper's single accelerator. Protocol decisions and (in
+  // serialized mode) all replay metrics except sitelist_storage_bytes are
+  // invariant in this knob — tests/test_shard.cc proves it.
   std::uint32_t accelerator_shards = 1;
-
-  // Batched fan-out: when > 0 (and invalidation sending is decoupled and
-  // unicast), invalidations wait in a per-shard outbox for this long so a
-  // drain can pack everything destined for one site into a single INVB
-  // frame, coalescing duplicate (site, url) pairs across writes. 0 sends
-  // each invalidation in its own frame (the pre-batching behavior).
-  // Ignored under serialized/multicast/hierarchical configurations.
-  Time invalidation_batch_window = 0;
 
   Time lockstep_interval = 5 * kMinute;
 
-  std::vector<FailureEvent> failures;
-
   // --- fault injection (src/fault/) ----------------------------------------
-  // A declarative fault plan (non-owning; must outlive the run). Crash and
-  // partition events are expanded onto `failures`; link-fault windows drive
-  // a seeded FaultClock installed on the sim network, so the whole scenario
-  // replays bit-identically for a given (plan, fault_seed).
+  // The run's only failure input (non-owning; must outlive the run). Crash
+  // and partition windows become onset/recovery events; link-fault windows
+  // drive a seeded FaultClock installed on the sim network, so the whole
+  // scenario replays bit-identically for a given (plan, fault_seed).
   const fault::FaultPlan* fault_plan = nullptr;
   std::uint64_t fault_seed = 0;
 

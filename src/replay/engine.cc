@@ -25,8 +25,8 @@ void Engine::Setup() {
   accel_.set_trace_sink(sink_);  // propagates to every shard and its table
 
   // One dedicated sender (and, for batching, one outbox) per accelerator
-  // shard. Serialized mode never touches them, keeping the paper's shared
-  // server CPU — and its metrics — shard-count invariant.
+  // shard. Serialized and multicast fan-out never touch them, keeping the
+  // paper's shared server CPU — and its metrics — shard-count invariant.
   const std::uint32_t num_shards = accel_.num_shards();
   inval_senders_.reserve(num_shards);
   for (std::uint32_t i = 0; i < num_shards; ++i) {
@@ -124,11 +124,10 @@ void Engine::Setup() {
     modifications_ = trace::GenerateModifierSchedule(mod_config);
   }
 
-  failures_ = config_.failures;
   if (config_.fault_plan != nullptr) {
     // Expand the declarative plan: crash and partition events become
-    // FailureEvent pairs (onset + recovery) on the existing failure path;
-    // link-fault windows go to the FaultClock below.
+    // FailureEvent pairs (onset + recovery); link-fault windows go to the
+    // FaultClock below.
     fault::FaultPlan plan = *config_.fault_plan;
     fault::Canonicalize(plan);
     bool has_link_faults = false;
@@ -203,6 +202,8 @@ void Engine::Setup() {
     WEBCC_CHECK_MSG(InvalidationMode(),
                     "hierarchical mode is defined for the invalidation "
                     "protocol only");
+    WEBCC_CHECK_MSG(config_.fan_out != FanOut::kBatched,
+                    "batched fan-out is defined for the flat topology only");
     parent_cache_ = std::make_unique<http::ProxyCache>(
         config_.proxy_cache_bytes * 4, config_.eviction_policy,
         config_.proxy_tier, &ids_);

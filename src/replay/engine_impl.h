@@ -40,6 +40,23 @@
 
 namespace webcc::replay::detail {
 
+// ReplayConfig::fault_plan expanded: each crash or partition window is an
+// onset and a recovery, applied at the first lock-step interval covering it.
+enum class FailureKind {
+  kProxyCrash,    // target = pseudo-client index; cache survives on disk
+  kProxyRecover,  // proxy marks all entries questionable
+  kServerCrash,   // accelerator loses its in-memory tables
+  kServerRecover, // server sends INVSRV to every site ever seen
+  kPartition,     // target pseudo-client <-> server link cut
+  kHeal,
+};
+
+struct FailureEvent {
+  Time trace_time = 0;
+  FailureKind kind = FailureKind::kProxyCrash;
+  int target = 0;  // pseudo-client index; ignored for server events
+};
+
 class Engine {
  public:
   explicit Engine(const ReplayConfig& config)
@@ -143,12 +160,16 @@ class Engine {
   // --- modifier / invalidation path (engine_invalidation.cc) -------------------
   void ModifierStep();
   // Fans out the invalidations for one modification. `on_complete` runs when
-  // the modifier may proceed: in serialized mode after every message is
-  // delivered (the paper's check-in blocks until the accelerator finishes
-  // sending), in decoupled mode immediately.
+  // the modifier may proceed: under serialized and multicast fan-out after
+  // every message is delivered (the paper's check-in blocks until the
+  // accelerator finishes sending), under decoupled and batched immediately.
   void FanOutInvalidations(std::vector<net::DocInvalidation> invalidations,
                            core::DocId doc, Time trace_time,
                            std::function<void()> on_complete);
+  // Queues the sends on `sender` now: one group send under multicast, else
+  // one message per site, back to back.
+  void SendFanOut(std::vector<net::DocInvalidation> invalidations,
+                  sim::FifoStation& sender, std::uint64_t mod_id);
   void SendInvalidation(const net::DocInvalidation& invalidation,
                         std::uint64_t mod_id);
   void DeliverInvalidation(const net::DocInvalidation& invalidation,
@@ -159,15 +180,9 @@ class Engine {
   void ServerRecover(Time trace_time);
 
   // --- batched fan-out (engine_invalidation.cc) --------------------------------
-  // Batching applies only to decoupled, unicast, flat-topology runs; every
-  // other mode keeps its exact pre-batching send path.
-  bool BatchingEnabled() const {
-    return config_.invalidation_batch_window > 0 &&
-           !config_.serialized_invalidation &&
-           !config_.multicast_invalidation && !config_.hierarchical;
-  }
-  // Arms a drain of `shard`'s outbox after `delay` (no-op if one is armed).
-  void ScheduleOutboxDrain(std::uint32_t shard, Time delay);
+  // Arms a drain of `shard`'s outbox one kBatchWindow from now (no-op if
+  // one is armed).
+  void ScheduleOutboxDrain(std::uint32_t shard);
   // Packs the shard's pending entries into per-site batches and puts each
   // on the shard's sender. Sites that are partitioned but alive stay queued
   // (their entries keep coalescing until the link heals); down sites drain
@@ -180,6 +195,13 @@ class Engine {
   void ResolveBatchFirstAttempts(const core::InvalidationOutbox::Batch& batch);
 
   // --- helpers ----------------------------------------------------------------
+  // `node` is alive but cut off from the (alive) server: sends to it go to
+  // background retry and batched drains hold its entries. A down node is
+  // not partitioned; its refused send resolves its targets as dead.
+  bool PartitionedFromServer(sim::NodeId node) const {
+    return !net_.Reachable(ServerNode(), node) && net_.IsNodeUp(node) &&
+           net_.IsNodeUp(ServerNode());
+  }
   // Counter + event pairs: each event mirrors the counter bumped with it.
   void NoteReply(const net::DocReply& reply, core::SiteId site,
                  Time trace_time);  // replies_200/304
@@ -235,9 +257,9 @@ class Engine {
   http::DocumentStore docs_;
   sim::FifoStation server_cpu_;
   sim::FifoStation server_disk_;
-  // Decoupled mode: one dedicated sender per accelerator shard (built in
-  // Setup; FifoStation is non-copyable, hence the indirection). Serialized
-  // mode charges server_cpu_ and never touches these.
+  // Decoupled and batched fan-out: one sender per accelerator shard (built
+  // in Setup; FifoStation is non-copyable, hence the indirection). The
+  // blocking modes charge server_cpu_ and never touch these.
   std::vector<std::unique_ptr<sim::FifoStation>> inval_senders_;
   // Batched mode: per-shard outboxes and the armed-drain flags.
   std::vector<core::InvalidationOutbox> outboxes_;

@@ -83,22 +83,47 @@ void Engine::FanOutInvalidations(
     pending.delivery.AddTarget(invalidation.site, invalidation.lease_until);
   }
   pending.first_pending = static_cast<int>(invalidations.size());
-  if (config_.serialized_invalidation) {
-    // The check-in blocks until the fan-out lands (the paper's prototype);
-    // the modifier resumes only once this write has completed.
-    pending.on_complete = std::move(on_complete);
-  }
 
   // All of one modification's invalidations carry the same URL, so they
-  // route to one shard: its sender in decoupled mode, the shared server
-  // CPU when serialized (the paper's prototype, shard-count invariant).
+  // route to one shard: its sender under decoupled and batched fan-out. The
+  // blocking modes use the shared server CPU (the paper's prototype,
+  // shard-count invariant).
   const std::uint32_t shard = accel_.ShardOf(doc);
-  sim::FifoStation& sender = config_.serialized_invalidation
-                                 ? server_cpu_
-                                 : *inval_senders_[shard];
+  switch (config_.fan_out) {
+    case FanOut::kSerialized:
+    case FanOut::kMulticast:
+      // The check-in blocks until the fan-out lands (the paper's prototype);
+      // the modifier resumes only once this write has completed.
+      pending.on_complete = std::move(on_complete);
+      SendFanOut(std::move(invalidations), server_cpu_, mod_id);
+      return;
+    case FanOut::kDecoupled:
+      SendFanOut(std::move(invalidations), *inval_senders_[shard], mod_id);
+      break;
+    case FanOut::kBatched: {
+      // Queue into the shard's outbox; the armed drain packs everything
+      // pending per site into one INVB frame after the batch window. Wire
+      // bytes are charged at drain time (per frame, the batching win);
+      // batch_flush_ms replaces invalidation_time_ms as the push-delay stat.
+      const Time queued_at = sim_.now();
+      for (const net::DocInvalidation& invalidation : invalidations) {
+        ++metrics_.invalidations_sent;
+        if (outboxes_[shard].Add(invalidation.site, doc, mod_id, queued_at)) {
+          ++metrics_.invalidations_coalesced;
+        }
+      }
+      ScheduleOutboxDrain(shard);
+      break;
+    }
+  }
+  sim_.After(0, std::move(on_complete));
+}
+
+void Engine::SendFanOut(std::vector<net::DocInvalidation> invalidations,
+                        sim::FifoStation& sender, std::uint64_t mod_id) {
   const Time fanout_start = sim_.now();
   Time last_send_done = fanout_start;
-  if (config_.multicast_invalidation) {
+  if (config_.fan_out == FanOut::kMulticast) {
     // One group send regardless of list length: one CPU charge, one
     // message's bytes; the network fans the copies out.
     ++metrics_.multicast_sends;
@@ -111,21 +136,6 @@ void Engine::FanOutInvalidations(
             SendInvalidation(invalidation, mod_id);
           }
         });
-    metrics_.invalidation_time_ms.Record(
-        ToMillis(last_send_done - fanout_start));
-  } else if (BatchingEnabled()) {
-    // Queue into the shard's outbox; the armed drain packs everything
-    // pending per site into one INVB frame after the batch window. Wire
-    // bytes are charged at drain time (per frame, the batching win);
-    // batch_flush_ms replaces invalidation_time_ms as the push-delay stat.
-    for (const net::DocInvalidation& invalidation : invalidations) {
-      ++metrics_.invalidations_sent;
-      if (outboxes_[shard].Add(invalidation.site, doc, mod_id,
-                               fanout_start)) {
-        ++metrics_.invalidations_coalesced;
-      }
-    }
-    ScheduleOutboxDrain(shard, config_.invalidation_batch_window);
   } else {
     for (const net::DocInvalidation& invalidation : invalidations) {
       ++metrics_.invalidations_sent;
@@ -136,16 +146,14 @@ void Engine::FanOutInvalidations(
             SendInvalidation(invalidation, mod_id);
           });
     }
-    metrics_.invalidation_time_ms.Record(
-        ToMillis(last_send_done - fanout_start));
   }
-  if (!config_.serialized_invalidation) sim_.After(0, std::move(on_complete));
+  metrics_.invalidation_time_ms.Record(ToMillis(last_send_done - fanout_start));
 }
 
-void Engine::ScheduleOutboxDrain(std::uint32_t shard, Time delay) {
+void Engine::ScheduleOutboxDrain(std::uint32_t shard) {
   if (drain_scheduled_[shard]) return;
   drain_scheduled_[shard] = 1;
-  sim_.After(delay, [this, shard] {
+  sim_.After(kBatchWindow, [this, shard] {
     drain_scheduled_[shard] = 0;
     DrainOutbox(shard);
   });
@@ -155,13 +163,11 @@ void Engine::DrainOutbox(std::uint32_t shard) {
   core::InvalidationOutbox& outbox = outboxes_[shard];
   if (outbox.empty()) return;
   const auto ready = [this](core::SiteId site) {
-    const sim::NodeId target = clients_[PseudoOf(site)].node;
     // A partitioned-but-alive site is held so its entries keep coalescing
     // until the link heals — the dup-write guarantee: two writes during the
     // partition become one frame after it. A down site drains normally; the
     // refused send resolves its write targets as dead.
-    return !(!net_.Reachable(ServerNode(), target) && net_.IsNodeUp(target) &&
-             net_.IsNodeUp(ServerNode()));
+    return !PartitionedFromServer(clients_[PseudoOf(site)].node);
   };
   std::vector<core::InvalidationOutbox::Batch> batches =
       outbox.Drain(ids_.sites, ready);
@@ -178,7 +184,7 @@ void Engine::DrainOutbox(std::uint32_t shard) {
   }
   if (!outbox.empty()) {
     // Only held (partitioned) sites remain: poll again a window from now.
-    ScheduleOutboxDrain(shard, config_.invalidation_batch_window);
+    ScheduleOutboxDrain(shard);
   }
 }
 
@@ -188,12 +194,8 @@ void Engine::SendInvalidationBatch(core::InvalidationOutbox::Batch batch) {
 
   // Same gating as the unbatched path: a partition that opened between the
   // drain and this send moves the frame to background retry.
-  bool gate_released = false;
-  if (!net_.Reachable(ServerNode(), target) && net_.IsNodeUp(target) &&
-      net_.IsNodeUp(ServerNode())) {
-    gate_released = true;
-    ResolveBatchFirstAttempts(batch);
-  }
+  const bool gate_released = PartitionedFromServer(target);
+  if (gate_released) ResolveBatchFirstAttempts(batch);
 
   const auto shared = std::make_shared<core::InvalidationOutbox::Batch>(
       std::move(batch));
@@ -251,12 +253,8 @@ void Engine::SendInvalidation(const net::DocInvalidation& invalidation,
   // the blocking check-in does not wait for it. A reachable target gates
   // the check-in until the message actually arrives (a successful TCP send
   // means the peer acknowledged the bytes).
-  bool gate_released = false;
-  if (!net_.Reachable(ServerNode(), target) && net_.IsNodeUp(target) &&
-      net_.IsNodeUp(ServerNode())) {
-    gate_released = true;
-    ResolveFirstAttempt(mod_id);
-  }
+  const bool gate_released = PartitionedFromServer(target);
+  if (gate_released) ResolveFirstAttempt(mod_id);
 
   // TCP with periodic retry across partitions (Section 4's failure
   // handling); a down proxy refuses the connection and is dropped — its
@@ -454,10 +452,11 @@ void Engine::ServerRecover(Time trace_time) {
   }
   recovery_notices_pending_ = static_cast<int>(notices.size());
   if (notices.empty()) write_gap_active_ = false;
-  // Recovery notices always take the unbatched path (fault semantics are
-  // untouched by batching); in decoupled mode a targeted invalidation goes
-  // out on its URL's shard sender, INVSRV broadcasts on shard 0. Recovery
-  // speaks names (it replays the journal); its notices resolve to ids here.
+  // Recovery notices always go one per site (fault semantics are untouched
+  // by batching and multicast): on the server CPU when fan-out blocks, else
+  // a targeted invalidation on its URL's shard sender and INVSRV broadcasts
+  // on shard 0. Recovery speaks names (it replays the journal); its notices
+  // resolve to ids here.
   for (const net::Invalidation& notice : notices) {
     net::DocInvalidation by_id;
     by_id.type = notice.type;
@@ -472,14 +471,21 @@ void Engine::ServerRecover(Time trace_time) {
     by_id.lease_until = notice.lease_until;
     by_id.recovery = true;
     metrics_.message_bytes += net::WireSize(by_id, ids_);
-    sim::FifoStation& sender =
-        config_.serialized_invalidation
-            ? server_cpu_
-            : *inval_senders_[notice.type == net::MessageType::kInvalidateUrl
-                                  ? accel_.ShardOf(by_id.doc)
-                                  : 0];
-    sender.Enqueue(config_.server_costs.invalidation_send_cpu,
-                   [this, by_id] { SendInvalidation(by_id, 0); });
+    sim::FifoStation* sender = &server_cpu_;
+    switch (config_.fan_out) {
+      case FanOut::kSerialized:
+      case FanOut::kMulticast:
+        break;
+      case FanOut::kDecoupled:
+      case FanOut::kBatched:
+        sender = inval_senders_[notice.type == net::MessageType::kInvalidateUrl
+                                    ? accel_.ShardOf(by_id.doc)
+                                    : 0]
+                     .get();
+        break;
+    }
+    sender->Enqueue(config_.server_costs.invalidation_send_cpu,
+                    [this, by_id] { SendInvalidation(by_id, 0); });
   }
 }
 

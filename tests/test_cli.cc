@@ -27,12 +27,12 @@ Flags MakeFlags(std::vector<const char*> args) {
 // --- flag parsing --------------------------------------------------------------
 
 TEST(Flags, PositionalThenFlags) {
-  const Flags flags = MakeFlags({"replay", "--in", "x.log", "--two-tier"});
+  const Flags flags = MakeFlags({"replay", "--in", "x.log", "--no-journal"});
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "replay");
   EXPECT_EQ(flags.GetString("in", ""), "x.log");
-  EXPECT_TRUE(flags.GetBool("two-tier"));
-  EXPECT_FALSE(flags.GetBool("multicast"));
+  EXPECT_TRUE(flags.GetBool("no-journal"));
+  EXPECT_FALSE(flags.GetBool("digest"));
 }
 
 TEST(Flags, EqualsSyntax) {
@@ -55,9 +55,9 @@ TEST(Flags, UnparseableValueIsNullopt) {
 }
 
 TEST(Flags, SwitchBeforeAnotherFlag) {
-  const Flags flags = MakeFlags({"replay", "--two-tier", "--multicast"});
-  EXPECT_TRUE(flags.GetBool("two-tier"));
-  EXPECT_TRUE(flags.GetBool("multicast"));
+  const Flags flags = MakeFlags({"replay", "--no-journal", "--digest"});
+  EXPECT_TRUE(flags.GetBool("no-journal"));
+  EXPECT_TRUE(flags.GetBool("digest"));
 }
 
 TEST(Flags, NegativeNumbersAsValues) {
@@ -103,6 +103,15 @@ TEST(ParseProtocol, RoundTripsThroughToString) {
     EXPECT_EQ(ParseProtocol(core::ToString(protocol)), protocol)
         << core::ToString(protocol);
   }
+}
+
+TEST(ParseFanOut, AllModes) {
+  EXPECT_EQ(ParseFanOut("serialized"), replay::FanOut::kSerialized);
+  EXPECT_EQ(ParseFanOut("decoupled"), replay::FanOut::kDecoupled);
+  EXPECT_EQ(ParseFanOut("batched"), replay::FanOut::kBatched);
+  EXPECT_EQ(ParseFanOut("multicast"), replay::FanOut::kMulticast);
+  EXPECT_FALSE(ParseFanOut("broadcast").has_value());
+  EXPECT_FALSE(ParseFanOut("").has_value());
 }
 
 TEST(ParseLeaseMode, AllNamesAndAliases) {
@@ -278,8 +287,10 @@ TEST_F(CliCommandTest, ReplayTwoTierLease) {
                  path_.c_str()}),
             0);
   ASSERT_EQ(Run({"replay", "--in", path_.c_str(), "--protocol",
-                 "invalidation", "--two-tier", "--lifetime-days", "1"}),
+                 "invalidation", "--lease", "two-tier", "--lifetime-days",
+                 "1"}),
             0);
+  EXPECT_NE(out_.str().find("violations=0"), std::string::npos);
 }
 
 TEST_F(CliCommandTest, ReplayRejectsUnknownProtocol) {
@@ -323,15 +334,52 @@ TEST_F(CliCommandTest, ReplayRejectsUnknownLease) {
   }
 }
 
-TEST_F(CliCommandTest, ReplayRejectsLeaseFlagPlusTwoTierSwitch) {
+TEST_F(CliCommandTest, ReplayFanOutModesRun) {
+  ASSERT_EQ(Run({"generate", "--requests", "300", "--documents", "40",
+                 "--clients", "20", "--duration-hours", "1", "--out",
+                 path_.c_str()}),
+            0);
+  for (const char* mode : {"serialized", "decoupled", "batched", "multicast"}) {
+    EXPECT_EQ(Run({"replay", "--in", path_.c_str(), "--protocol",
+                   "invalidation", "--lifetime-days", "1", "--fan-out", mode}),
+              0)
+        << mode << ": " << err_.str();
+  }
+}
+
+TEST_F(CliCommandTest, ReplayRejectsUnknownFanOut) {
   ASSERT_EQ(Run({"generate", "--requests", "100", "--documents", "10",
                  "--clients", "5", "--duration-hours", "1", "--out",
                  path_.c_str()}),
             0);
-  EXPECT_NE(
-      Run({"replay", "--in", path_.c_str(), "--lease", "fixed", "--two-tier"}),
-      0);
-  EXPECT_NE(err_.str().find("mutually exclusive"), std::string::npos);
+  EXPECT_EQ(Run({"replay", "--in", path_.c_str(), "--fan-out", "broadcast"}),
+            2);
+  // The error must teach the valid spellings.
+  for (const char* token :
+       {"serialized", "decoupled", "batched", "multicast"}) {
+    EXPECT_NE(err_.str().find(token), std::string::npos) << err_.str();
+  }
+}
+
+TEST_F(CliCommandTest, ReplayRefusesRemovedSendFlags) {
+  // The flags --fan-out and --lease replaced are unknown now: refused, not
+  // silently ignored.
+  ASSERT_EQ(Run({"generate", "--requests", "100", "--documents", "10",
+                 "--clients", "5", "--duration-hours", "1", "--out",
+                 path_.c_str()}),
+            0);
+  const std::vector<std::vector<const char*>> removed = {
+      {"--decoupled"}, {"--multicast"}, {"--batch-window", "100"},
+      {"--two-tier"}};
+  for (const std::vector<const char*>& flag : removed) {
+    std::vector<const char*> args = {"replay", "--in", path_.c_str(),
+                                     "--protocol", "invalidation"};
+    args.insert(args.end(), flag.begin(), flag.end());
+    EXPECT_EQ(Run(args), 2) << flag[0];
+    EXPECT_NE(err_.str().find(std::string("unknown flag(s): ") + flag[0]),
+              std::string::npos)
+        << err_.str();
+  }
 }
 
 TEST_F(CliCommandTest, ReplayRejectsPresetAndInTogether) {

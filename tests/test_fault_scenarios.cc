@@ -401,8 +401,7 @@ TEST(FaultScenarios, CrashDuringBatchedSendRecoversAtEveryShardCount) {
     config.lease.mode = core::LeaseMode::kTwoTier;
     config.lease.duration = 20 * kMinute;
     config.lease.short_duration = 5 * kMinute;
-    config.serialized_invalidation = false;
-    config.invalidation_batch_window = 200 * kMillisecond;
+    config.fan_out = FanOut::kBatched;
     config.accelerator_shards = shards;
     config.fault_plan = &plan;
     // A write storm right before the crash puts whole batches in flight.

@@ -4,7 +4,7 @@
 // This is the broadest net in the suite: it does not check specific
 // numbers, only the properties that define a correct run, across the whole
 // parameter plane the paper's evaluation moves in (lifetimes from minutes
-// to months, all five protocols, both fan-out disciplines).
+// to months, all five protocols, every fan-out mode).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -21,7 +21,7 @@ using core::Protocol;
 struct GridPoint {
   Protocol protocol;
   Time mean_lifetime;
-  bool serialized;
+  FanOut fan_out = FanOut::kSerialized;
 };
 
 std::string GridName(const ::testing::TestParamInfo<GridPoint>& info) {
@@ -44,7 +44,7 @@ std::string GridName(const ::testing::TestParamInfo<GridPoint>& info) {
       break;
   }
   name += "Life" + std::to_string(info.param.mean_lifetime / kMinute) + "m";
-  name += info.param.serialized ? "Ser" : "Dec";
+  name += info.param.fan_out == FanOut::kSerialized ? "Ser" : "Dec";
   return name;
 }
 
@@ -71,7 +71,7 @@ TEST_P(InvariantGridTest, ConservationAndConsistency) {
   config.protocol = point.protocol;
   config.trace = &Trace();
   config.mean_lifetime = point.mean_lifetime;
-  config.serialized_invalidation = point.serialized;
+  config.fan_out = point.fan_out;
 
   const ReplayMetrics m = RunReplay(config);
 
@@ -119,28 +119,28 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Modification rates from frantic (minutes) to web-typical (weeks),
         // across all five protocols.
-        GridPoint{Protocol::kAdaptiveTtl, 15 * kMinute, true},
-        GridPoint{Protocol::kAdaptiveTtl, 4 * kHour, true},
-        GridPoint{Protocol::kAdaptiveTtl, 30 * kDay, true},
-        GridPoint{Protocol::kPollEveryTime, 15 * kMinute, true},
-        GridPoint{Protocol::kPollEveryTime, 4 * kHour, true},
-        GridPoint{Protocol::kPollEveryTime, 30 * kDay, true},
-        GridPoint{Protocol::kInvalidation, 15 * kMinute, true},
-        GridPoint{Protocol::kInvalidation, 15 * kMinute, false},
-        GridPoint{Protocol::kInvalidation, 4 * kHour, true},
-        GridPoint{Protocol::kInvalidation, 4 * kHour, false},
-        GridPoint{Protocol::kInvalidation, 30 * kDay, true},
-        GridPoint{Protocol::kPiggybackValidation, 15 * kMinute, true},
-        GridPoint{Protocol::kPiggybackValidation, 4 * kHour, true},
-        GridPoint{Protocol::kPiggybackValidation, 30 * kDay, true},
-        GridPoint{Protocol::kPiggybackInvalidation, 15 * kMinute, true},
-        GridPoint{Protocol::kPiggybackInvalidation, 4 * kHour, true},
-        GridPoint{Protocol::kPiggybackInvalidation, 30 * kDay, true}),
+        GridPoint{Protocol::kAdaptiveTtl, 15 * kMinute},
+        GridPoint{Protocol::kAdaptiveTtl, 4 * kHour},
+        GridPoint{Protocol::kAdaptiveTtl, 30 * kDay},
+        GridPoint{Protocol::kPollEveryTime, 15 * kMinute},
+        GridPoint{Protocol::kPollEveryTime, 4 * kHour},
+        GridPoint{Protocol::kPollEveryTime, 30 * kDay},
+        GridPoint{Protocol::kInvalidation, 15 * kMinute},
+        GridPoint{Protocol::kInvalidation, 15 * kMinute, FanOut::kDecoupled},
+        GridPoint{Protocol::kInvalidation, 4 * kHour},
+        GridPoint{Protocol::kInvalidation, 4 * kHour, FanOut::kDecoupled},
+        GridPoint{Protocol::kInvalidation, 30 * kDay},
+        GridPoint{Protocol::kPiggybackValidation, 15 * kMinute},
+        GridPoint{Protocol::kPiggybackValidation, 4 * kHour},
+        GridPoint{Protocol::kPiggybackValidation, 30 * kDay},
+        GridPoint{Protocol::kPiggybackInvalidation, 15 * kMinute},
+        GridPoint{Protocol::kPiggybackInvalidation, 4 * kHour},
+        GridPoint{Protocol::kPiggybackInvalidation, 30 * kDay}),
     GridName);
 
 // The same net over the deployment variants of the invalidation protocol.
 struct VariantPoint {
-  bool multicast;
+  FanOut fan_out;
   bool shared;
   bool hierarchical;
   const char* name;
@@ -162,7 +162,7 @@ TEST_P(VariantGridTest, ConservationAndConsistency) {
   config.protocol = Protocol::kInvalidation;
   config.trace = &trace;
   config.mean_lifetime = 3 * kHour;
-  config.multicast_invalidation = point.multicast;
+  config.fan_out = point.fan_out;
   config.shared_proxy_cache = point.shared;
   config.hierarchical = point.hierarchical;
 
@@ -176,13 +176,21 @@ TEST_P(VariantGridTest, ConservationAndConsistency) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, VariantGridTest,
-    ::testing::Values(VariantPoint{false, false, false, "flat"},
-                      VariantPoint{true, false, false, "multicast"},
-                      VariantPoint{false, true, false, "shared"},
-                      VariantPoint{true, true, false, "sharedMulticast"},
-                      VariantPoint{false, false, true, "hierarchical"},
-                      VariantPoint{true, false, true,
-                                   "hierarchicalMulticast"}),
+    ::testing::Values(
+        // Every fan-out mode on the flat topology...
+        VariantPoint{FanOut::kSerialized, false, false, "flat"},
+        VariantPoint{FanOut::kDecoupled, false, false, "decoupled"},
+        VariantPoint{FanOut::kBatched, false, false, "batched"},
+        VariantPoint{FanOut::kMulticast, false, false, "multicast"},
+        VariantPoint{FanOut::kSerialized, true, false, "shared"},
+        VariantPoint{FanOut::kBatched, true, false, "sharedBatched"},
+        VariantPoint{FanOut::kMulticast, true, false, "sharedMulticast"},
+        // ...and every one the hierarchy accepts (batched is refused there).
+        VariantPoint{FanOut::kSerialized, false, true, "hierarchical"},
+        VariantPoint{FanOut::kDecoupled, false, true,
+                     "hierarchicalDecoupled"},
+        VariantPoint{FanOut::kMulticast, false, true,
+                     "hierarchicalMulticast"}),
     [](const ::testing::TestParamInfo<VariantPoint>& info) {
       return std::string(info.param.name);
     });

@@ -305,7 +305,7 @@ TEST(ReplayMulticast, OneNetworkMessagePerModification) {
   replay::ReplayConfig unicast =
       PiggybackConfigFor(trace, core::Protocol::kInvalidation);
   replay::ReplayConfig multicast = unicast;
-  multicast.multicast_invalidation = true;
+  multicast.fan_out = replay::FanOut::kMulticast;
   const auto uni = RunReplay(unicast);
   const auto multi = RunReplay(multicast);
   // Same logical invalidations and deliveries...

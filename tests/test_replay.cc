@@ -160,7 +160,7 @@ TEST(ReplayInvalidation, SerializedSendsInflateWorstCaseLatency) {
   // case the way the big traces' thousand-site lists do.
   serialized.server_costs.invalidation_send_cpu = 200 * kMillisecond;
   ReplayConfig decoupled = serialized;
-  decoupled.serialized_invalidation = false;
+  decoupled.fan_out = FanOut::kDecoupled;
   const ReplayMetrics with_blocking = RunReplay(serialized);
   const ReplayMetrics without_blocking = RunReplay(decoupled);
   // The paper's prototype artifact: fan-out blocks request handling.
@@ -223,7 +223,7 @@ TEST(ReplayInvalidation, DecoupledModeAlsoViolationFree) {
   const trace::Trace trace = SmallTrace(/*seed=*/22, /*requests=*/4000);
   ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
   config.mean_lifetime = 20 * kMinute;
-  config.serialized_invalidation = false;
+  config.fan_out = FanOut::kDecoupled;
   const ReplayMetrics metrics = RunReplay(config);
   EXPECT_EQ(metrics.strong_violations, 0u);
   EXPECT_EQ(metrics.invalidations_delivered, metrics.invalidations_sent);
@@ -340,6 +340,17 @@ TEST(ReplayHierarchy, DeterministicAndStaleOnlyInFlight) {
   EXPECT_EQ(a.parent_hits, b.parent_hits);
   EXPECT_EQ(a.strong_violations, 0u);
   EXPECT_EQ(a.stale_serves, a.stale_while_invalidation_in_flight);
+}
+
+TEST(ReplayHierarchyDeathTest, BatchedFanOutRefusedAtSetup) {
+  // Outboxes drain to pseudo-client sites, while under the hierarchy the
+  // server's only invalidation target is the parent proxy. The engine
+  // refuses the combination rather than quietly sending unbatched.
+  const trace::Trace trace = SmallTrace(/*seed=*/29, /*requests=*/200);
+  ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
+  config.hierarchical = true;
+  config.fan_out = FanOut::kBatched;
+  EXPECT_DEATH(RunReplay(config), "batched fan-out is defined for the flat");
 }
 
 // Tallies the sites invalidation deliveries address, and keeps the whole
@@ -510,10 +521,13 @@ TEST(ReplayLease, TwoTierFiltersOneTimeViewers) {
 TEST(ReplayFailure, ProxyCrashSkipsAndRecoversQuestionable) {
   const trace::Trace trace = SmallTrace(/*seed=*/11, /*requests=*/3000);
   ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
-  config.failures = {
-      {trace.duration / 4, FailureKind::kProxyCrash, 0},
-      {trace.duration / 2, FailureKind::kProxyRecover, 0},
-  };
+  const fault::FaultPlan plan{
+      .name = "proxy-crash",
+      .events = {{.at = trace.duration / 4,
+                  .kind = fault::FaultKind::kProxyCrash,
+                  .target = 0,
+                  .duration = trace.duration / 4}}};
+  config.fault_plan = &plan;
   const ReplayMetrics metrics = RunReplay(config);
   EXPECT_GT(metrics.requests_skipped, 0u);
   EXPECT_EQ(metrics.strong_violations, 0u);
@@ -525,10 +539,13 @@ TEST(ReplayFailure, InvalidationToDeadProxyRefusedNotRetried) {
   const trace::Trace trace = SmallTrace(/*seed=*/12, /*requests=*/3000);
   ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
   config.mean_lifetime = 3 * kHour;
-  config.failures = {
-      {trace.duration / 4, FailureKind::kProxyCrash, 1},
-      {3 * trace.duration / 4, FailureKind::kProxyRecover, 1},
-  };
+  const fault::FaultPlan plan{
+      .name = "dead-proxy",
+      .events = {{.at = trace.duration / 4,
+                  .kind = fault::FaultKind::kProxyCrash,
+                  .target = 1,
+                  .duration = trace.duration / 2}}};
+  config.fault_plan = &plan;
   const ReplayMetrics metrics = RunReplay(config);
   EXPECT_GT(metrics.invalidations_refused, 0u);
   EXPECT_EQ(metrics.invalidations_delivered + metrics.invalidations_refused,
@@ -542,10 +559,12 @@ TEST(ReplayFailure, ServerCrashCausesTimeoutsRecoverySendsInvsrv) {
   config.client_costs.request_timeout = 5 * kSecond;
   // The paper's blanket recovery broadcast (journal-less).
   config.journaled_recovery = false;
-  config.failures = {
-      {trace.duration / 4, FailureKind::kServerCrash, 0},
-      {trace.duration / 2, FailureKind::kServerRecover, 0},
-  };
+  const fault::FaultPlan plan{
+      .name = "server-crash",
+      .events = {{.at = trace.duration / 4,
+                  .kind = fault::FaultKind::kServerCrash,
+                  .duration = trace.duration / 4}}};
+  config.fault_plan = &plan;
   const ReplayMetrics metrics = RunReplay(config);
   EXPECT_GT(metrics.request_timeouts, 0u);
   EXPECT_GT(metrics.invsrv_sent, 0u);
@@ -556,10 +575,12 @@ TEST(ReplayFailure, JournaledRecoverySendsTargetedInvalidations) {
   const trace::Trace trace = SmallTrace(/*seed=*/13, /*requests=*/3000);
   ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
   config.client_costs.request_timeout = 5 * kSecond;
-  config.failures = {
-      {trace.duration / 4, FailureKind::kServerCrash, 0},
-      {trace.duration / 2, FailureKind::kServerRecover, 0},
-  };
+  const fault::FaultPlan plan{
+      .name = "journaled-recovery",
+      .events = {{.at = trace.duration / 4,
+                  .kind = fault::FaultKind::kServerCrash,
+                  .duration = trace.duration / 4}}};
+  config.fault_plan = &plan;
   const ReplayMetrics metrics = RunReplay(config);
   // The write-ahead journal replaces the blanket INVSRV broadcast with
   // targeted invalidations for documents modified during the downtime.
@@ -578,10 +599,12 @@ TEST(ReplayFailure, JournaledAndBroadcastRecoveryBothUpholdStrong) {
     ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
     config.client_costs.request_timeout = 5 * kSecond;
     config.journaled_recovery = journaled;
-    config.failures = {
-        {trace.duration / 3, FailureKind::kServerCrash, 0},
-        {trace.duration / 3 + 30 * kMinute, FailureKind::kServerRecover, 0},
-    };
+    const fault::FaultPlan plan{
+        .name = "server-crash-30m",
+        .events = {{.at = trace.duration / 3,
+                    .kind = fault::FaultKind::kServerCrash,
+                    .duration = 30 * kMinute}}};
+    config.fault_plan = &plan;
     const ReplayMetrics metrics = RunReplay(config);
     EXPECT_EQ(metrics.strong_violations, 0u) << "journaled=" << journaled;
   }
@@ -592,10 +615,13 @@ TEST(ReplayFailure, PartitionRetriesDeliverAfterHeal) {
   ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
   config.mean_lifetime = 3 * kHour;
   config.client_costs.request_timeout = 5 * kSecond;
-  config.failures = {
-      {trace.duration / 4, FailureKind::kPartition, 0},
-      {trace.duration / 4 + 20 * kMinute, FailureKind::kHeal, 0},
-  };
+  const fault::FaultPlan plan{
+      .name = "partition",
+      .events = {{.at = trace.duration / 4,
+                  .kind = fault::FaultKind::kPartition,
+                  .target = 0,
+                  .duration = 20 * kMinute}}};
+  config.fault_plan = &plan;
   const ReplayMetrics metrics = RunReplay(config);
   // Everything eventually lands; stale serves during the partition are
   // in-contract (the write has not completed).
