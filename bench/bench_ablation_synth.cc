@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "synth/generate.h"
 #include "synth/scenario.h"
 
 using namespace webcc;
@@ -99,15 +100,15 @@ int main(int argc, char** argv) {
     protocols = {core::Protocol::kAdaptiveTtl, core::Protocol::kInvalidation};
   }
 
-  // Scenario storage must outlive the farm: ReplayConfig carries a pointer
-  // and each worker regenerates the workload from it in-process.
-  std::deque<synth::ScenarioConfig> scenarios;
+  // Workload storage must outlive the farm: ReplayConfig points at each
+  // workload's trace, which the workers share read-only.
+  std::deque<synth::SynthWorkload> workloads;
   std::vector<GridCell> cells;
   std::vector<replay::ReplayConfig> configs;
   for (const std::uint32_t sites : scales) {
     for (const double write_fraction : kWriteFractions) {
-      scenarios.push_back(ScenarioFor(sites, write_fraction));
-      const synth::ScenarioConfig& scenario = scenarios.back();
+      workloads.push_back(synth::Generate(ScenarioFor(sites, write_fraction)));
+      const synth::SynthWorkload& workload = workloads.back();
       for (const core::Protocol protocol : protocols) {
         GridCell cell;
         cell.sites = sites;
@@ -115,7 +116,9 @@ int main(int argc, char** argv) {
         cell.protocol = protocol;
         cells.push_back(cell);
         replay::ReplayConfig config;
-        config.scenario = &scenario;
+        config.trace = &workload.trace;
+        config.explicit_modifications = workload.writes;
+        config.suppress_generated_modifications = true;
         config.protocol = protocol;
         configs.push_back(config);
       }

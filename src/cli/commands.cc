@@ -315,10 +315,11 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
                      std::ostream& err) {
   replay::ReplayConfig config;
   // Input is either a trace (--preset/--in) or a synthetic scenario
-  // (--scenario): with a scenario the engine regenerates the workload
-  // in-process, so nothing but the JSON needs to exist on disk.
-  synth::ScenarioFile scenario_file;
+  // (--scenario): a scenario's workload is generated here, once, and its
+  // write stream is the whole modification schedule (even when empty: a
+  // read-only scenario stays read-only).
   std::optional<trace::Trace> trace;
+  std::optional<synth::SynthWorkload> workload;
   const std::string scenario_path = flags.GetString("scenario", "");
   if (!scenario_path.empty()) {
     if (!flags.GetString("preset", "").empty() ||
@@ -326,15 +327,18 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
       err << "error: --scenario is mutually exclusive with --preset/--in\n";
       return 2;
     }
+    synth::ScenarioFile scenario_file;
     if (!LoadScenarioFile(scenario_path, scenario_file, err)) return 2;
-    config.scenario = &scenario_file.config;
+    workload = synth::Generate(scenario_file.config);
+    config.trace = &workload->trace;
+    config.explicit_modifications = workload->writes;
+    config.suppress_generated_modifications = true;
   } else {
     trace = LoadTrace(flags, err);
     if (!trace.has_value()) return 2;
     config.trace = &*trace;
   }
-  const Time input_duration =
-      trace.has_value() ? trace->duration : scenario_file.config.duration;
+  const Time input_duration = config.trace->duration;
 
   const std::string protocol_name = flags.GetString("protocol", "");
 
@@ -653,10 +657,12 @@ int RunSynth(const Flags& flags, std::ostream& out, std::ostream& err) {
       }
       protocols = {*protocol};
     }
-    // Workers regenerate the workload from the scenario independently, so
-    // the merged trace digest below is invariant in --workers.
+    // Every worker replays the one workload generated above, so the merged
+    // trace digest below is invariant in --workers.
     replay::ReplayConfig replay_config;
-    replay_config.scenario = &config;
+    replay_config.trace = &workload.trace;
+    replay_config.explicit_modifications = workload.writes;
+    replay_config.suppress_generated_modifications = true;
     obs::BufferTraceSink merged;
     replay::Farm farm(static_cast<unsigned>(*workers));
     farm.set_merged_trace_sink(&merged);

@@ -72,23 +72,19 @@ std::vector<net::DocInvalidation> Accelerator::HandleNotify(DocId doc,
 std::vector<net::Invalidation> Accelerator::HandleNotify(
     const net::Notify& notify, Time now) {
   const DocId doc = ids_->docs.Find(notify.url);
-  if (doc != kNoInternId) return ToWire(HandleNotify(doc, now));
+  if (doc != kNoInternId) {
+    std::vector<net::Invalidation> out;
+    for (const net::DocInvalidation& inv : HandleNotify(doc, now)) {
+      out.push_back(net::ToWire(inv, *ids_));
+    }
+    return out;
+  }
   // A check-in for a name the server never stored: counted and traced like
   // any other, with nothing to invalidate.
   ++stats_.notifies;
   obs::Emit(trace_sink_,
             {.type = obs::EventType::kNotify, .at = now, .url = notify.url});
   return {};
-}
-
-std::vector<net::Invalidation> Accelerator::ToWire(
-    const std::vector<net::DocInvalidation>& invalidations) const {
-  std::vector<net::Invalidation> out;
-  out.reserve(invalidations.size());
-  for (const net::DocInvalidation& inv : invalidations) {
-    out.push_back(net::ToWire(inv, *ids_));
-  }
-  return out;
 }
 
 std::vector<net::DocInvalidation> Accelerator::CheckDocument(DocId doc,
@@ -141,25 +137,25 @@ void Accelerator::Crash() {
   // record, not server state.
 }
 
-std::vector<net::Invalidation> Accelerator::Recover() {
+std::vector<net::DocInvalidation> Accelerator::Recover() {
   return Broadcast(registry_.sites());
 }
 
-std::vector<net::Invalidation> Accelerator::Broadcast(
+std::vector<net::DocInvalidation> Accelerator::Broadcast(
     std::vector<SiteId> sites) {
   SortByName(sites, ids_->sites);
-  std::vector<net::Invalidation> out;
+  std::vector<net::DocInvalidation> out;
   out.reserve(sites.size());
   for (const SiteId site : sites) {
-    net::Invalidation inv;
+    net::DocInvalidation inv;
     inv.type = net::MessageType::kInvalidateServer;
     inv.server = server_name_;
-    inv.client_id = ids_->SiteName(site);
+    inv.site = site;
     inv.recovery = true;
     obs::Emit(trace_sink_, {.type = obs::EventType::kInvalidateServer,
-                            .site = inv.client_id,
+                            .site = ids_->SiteName(site),
                             .label = server_name_});
-    out.push_back(std::move(inv));
+    out.push_back(inv);
   }
   return out;
 }
@@ -244,7 +240,7 @@ Accelerator::RecoveryOutcome Accelerator::RecoverFromJournal(Time now) {
     }
     for (net::DocInvalidation& inv : CheckDocument(doc, now)) {
       inv.recovery = true;
-      outcome.invalidations.push_back(net::ToWire(inv, *ids_));
+      outcome.invalidations.push_back(inv);
     }
   }
   return outcome;

@@ -16,9 +16,9 @@
 // protocol outputs, and the replay engine (or the live socket server)
 // moves them. Costs/queueing live with the caller.
 //
-// Protocol calls come by id (the store's core::IdSpace) and by name; the
-// named forms resolve names once and run the id path. Recovery speaks
-// names: it is rare, and the journal it replays is text.
+// Every call speaks ids in the store's core::IdSpace, recovery included;
+// the two named forms resolve names once and run the id path. Only the
+// journal is text: its records carry names.
 #pragma once
 
 #include <cstdint>
@@ -89,10 +89,10 @@ class Accelerator {
   // Recovery: one server-address INVALIDATE per site ever seen, telling each
   // to mark this server's documents questionable. The pre-journal fallback,
   // and what journal recovery degrades to when the journal is damaged.
-  std::vector<net::Invalidation> Recover();
+  std::vector<net::DocInvalidation> Recover();
   // The same broadcast to `sites`, in site-name order (the sharded facade
   // passes the union of its shards' registries).
-  std::vector<net::Invalidation> Broadcast(std::vector<SiteId> sites);
+  std::vector<net::DocInvalidation> Broadcast(std::vector<SiteId> sites);
 
   // --- write-ahead journal (Section 4's persistent site lists) -------------
   // When enabled, every registration / invalidation / version pin is
@@ -108,7 +108,7 @@ class Accelerator {
     // changed while the server was down (journal intact), or the kRecover
     // style kInvalidateServer broadcast (journal damaged). All carry
     // recovery = true.
-    std::vector<net::Invalidation> invalidations;
+    std::vector<net::DocInvalidation> invalidations;
     bool journal_damaged = false;
     std::size_t records_applied = 0;
     std::size_t records_rejected = 0;
@@ -147,7 +147,6 @@ class Accelerator {
   const InvalidationTable& table() const { return table_; }
   SiteRegistry& registry() { return registry_; }
   const AcceleratorStats& stats() const { return stats_; }
-  const std::string& server_name() const { return server_name_; }
 
   // Optional tracing: lease grants (kLeaseGrant, detail = expiry),
   // modification detection (kInvalidateGenerated per INVALIDATE produced),
@@ -164,9 +163,6 @@ class Accelerator {
                      std::string_view prefix) const;
 
  private:
-  std::vector<net::Invalidation> ToWire(
-      const std::vector<net::DocInvalidation>& invalidations) const;
-
   // The version baseline of `doc`; 0 = never seen (versions start at 1).
   std::uint64_t& BaselineOf(DocId doc) {
     if (doc >= last_seen_version_.size()) last_seen_version_.resize(doc + 1);

@@ -4,8 +4,9 @@
 // consistency-relevant fields of a cached copy) or a ReplyMeta (the
 // consistency-relevant fields of a server reply) and returns a Decision
 // value. It never mutates a cache, sends a message, or reads a clock — the
-// replay engine and the live stack both execute the returned decisions, so
-// the simulated and deployed protocols are the same code by construction
+// protocol steps (core/consistency/steps.h), which the replay engine and
+// the live stack both run, execute the returned decisions, so the simulated
+// and deployed protocols are the same code by construction
 // (tests/test_differential.cc asserts this end to end).
 #pragma once
 

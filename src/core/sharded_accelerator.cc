@@ -9,13 +9,10 @@ ShardedAccelerator::ShardedAccelerator(const http::DocumentStore& store,
                                        LeaseConfig lease,
                                        std::uint32_t num_shards,
                                        std::string server_name)
-    : ring_(num_shards),
-      ids_(&store.ids()),
-      server_name_(std::move(server_name)) {
+    : ring_(num_shards), ids_(&store.ids()) {
   shards_.reserve(num_shards);
   for (std::uint32_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(
-        std::make_unique<Accelerator>(store, lease, server_name_));
+    shards_.push_back(std::make_unique<Accelerator>(store, lease, server_name));
   }
 }
 
@@ -27,21 +24,11 @@ std::uint32_t ShardedAccelerator::ShardOf(DocId doc) const {
   return shard;
 }
 
-std::optional<net::Reply> ShardedAccelerator::HandleRequest(
-    const net::Request& request, Time now) {
-  return shards_[ring_.ShardOf(request.url)]->HandleRequest(request, now);
-}
-
-std::vector<net::Invalidation> ShardedAccelerator::HandleNotify(
-    const net::Notify& notify, Time now) {
-  return shards_[ring_.ShardOf(notify.url)]->HandleNotify(notify, now);
-}
-
 void ShardedAccelerator::Crash() {
   for (const std::unique_ptr<Accelerator>& shard : shards_) shard->Crash();
 }
 
-std::vector<net::Invalidation> ShardedAccelerator::Recover() {
+std::vector<net::DocInvalidation> ShardedAccelerator::Recover() {
   // Union the per-shard registries first: a site that requested documents on
   // several shards must receive exactly one server-address invalidation.
   std::vector<SiteId> sites;
@@ -97,7 +84,7 @@ ShardedAccelerator::RecoveryOutcome ShardedAccelerator::RecoverFromJournal(
     for (net::DocInvalidation& inv :
          shards_[ShardOf(doc)]->CheckDocument(doc, now)) {
       inv.recovery = true;
-      outcome.invalidations.push_back(net::ToWire(inv, *ids_));
+      outcome.invalidations.push_back(inv);
     }
   }
   return outcome;

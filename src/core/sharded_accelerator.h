@@ -54,20 +54,15 @@ class ShardedAccelerator {
   const Accelerator& shard(std::uint32_t index) const {
     return *shards_[index];
   }
-  const std::string& server_name() const { return server_name_; }
 
-  // --- URL-routed protocol operations (forwarded to ShardOf(url)) ----------
+  // --- document-routed protocol operations (forwarded to ShardOf(doc)) -----
   std::optional<net::DocReply> HandleRequest(const net::DocRequest& request,
                                              Time now) {
     return shards_[ShardOf(request.doc)]->HandleRequest(request, now);
   }
-  std::optional<net::Reply> HandleRequest(const net::Request& request,
-                                          Time now);
   std::vector<net::DocInvalidation> HandleNotify(DocId doc, Time now) {
     return shards_[ShardOf(doc)]->HandleNotify(doc, now);
   }
-  std::vector<net::Invalidation> HandleNotify(const net::Notify& notify,
-                                              Time now);
 
   // --- failure handling -----------------------------------------------------
   void Crash();  // every shard's in-memory table dies together
@@ -75,13 +70,13 @@ class ShardedAccelerator {
   // Server-address broadcast over the union of the shards' site registries,
   // deduplicated and sorted — the same site set (and emission order) the
   // unsharded accelerator's registry would produce.
-  std::vector<net::Invalidation> Recover();
+  std::vector<net::DocInvalidation> Recover();
 
   void EnableJournal(bool enabled);
   bool journal_enabled() const;
 
   struct RecoveryOutcome {
-    std::vector<net::Invalidation> invalidations;
+    std::vector<net::DocInvalidation> invalidations;
     bool journal_damaged = false;     // any shard's journal damaged
     std::size_t shards_damaged = 0;   // how many
     std::size_t records_applied = 0;
@@ -127,7 +122,6 @@ class ShardedAccelerator {
   static constexpr std::uint32_t kNoShard = 0xffffffffu;
   mutable std::vector<std::uint32_t> shard_of_doc_;
   std::vector<std::unique_ptr<Accelerator>> shards_;
-  std::string server_name_;
   obs::TraceSink* trace_sink_ = nullptr;
 };
 

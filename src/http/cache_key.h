@@ -1,7 +1,7 @@
 // Composite cache-key construction for the string-facing callers that
-// name a per-client cached copy by one string (the live proxy and tests).
-// The cache itself keys on the (site, doc) id pair; its string entry points
-// split the key back into its two names.
+// name a per-client cached copy by one string (the benchmark and tests).
+// The cache itself keys on the (site, doc) id pair; its by-key Lookup
+// splits the key back into its two names.
 //
 // Keys were historically built as `url + "@" + owner`, which collides as
 // soon as either part contains '@' — and live client ids are "name@port"

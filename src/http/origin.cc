@@ -28,15 +28,4 @@ std::optional<net::DocReply> OriginServer::Handle(
   return reply;
 }
 
-std::optional<net::Reply> OriginServer::Handle(const net::Request& request,
-                                               Time now) const {
-  net::DocRequest by_id;
-  by_id.type = request.type;
-  by_id.doc = store_->ids().docs.Find(request.url);
-  by_id.if_modified_since = request.if_modified_since;
-  const std::optional<net::DocReply> reply = Handle(by_id, now);
-  if (!reply.has_value()) return std::nullopt;
-  return net::ToWire(*reply, store_->ids());
-}
-
 }  // namespace webcc::http

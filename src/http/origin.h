@@ -49,9 +49,6 @@ class OriginServer {
   // The reply's lease_until is kNoLease; the accelerator stamps leases.
   std::optional<net::DocReply> Handle(const net::DocRequest& request,
                                       Time now) const;
-  // String entry point: resolves the URL and answers through the id path.
-  std::optional<net::Reply> Handle(const net::Request& request,
-                                   Time now) const;
 
  private:
   const DocumentStore* store_;

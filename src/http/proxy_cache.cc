@@ -16,16 +16,6 @@ ProxyCache::ProxyCache(std::uint64_t capacity_bytes, ReplacementPolicy policy,
       owned_ids_(ids == nullptr ? std::make_unique<core::IdSpace>() : nullptr),
       ids_(ids == nullptr ? owned_ids_.get() : ids) {}
 
-bool ProxyCache::ResolveKey(const std::string& key, core::SiteId& site,
-                            core::DocId& doc) const {
-  std::string_view url;
-  std::string_view owner;
-  if (!SplitCacheKey(key, url, owner)) return false;
-  doc = ids_->docs.Find(url);
-  site = ids_->sites.Find(owner);
-  return doc != core::kNoInternId && site != core::kNoInternId;
-}
-
 CacheEntry* ProxyCache::Lookup(core::SiteId site, core::DocId doc, Time now) {
   const auto it = index_.find(core::PackSiteDoc(site, doc));
   if (it == index_.end()) return nullptr;
@@ -48,20 +38,17 @@ CacheEntry* ProxyCache::Lookup(core::SiteId site, core::DocId doc, Time now) {
 }
 
 CacheEntry* ProxyCache::Lookup(const std::string& key, Time now) {
-  core::SiteId site;
-  core::DocId doc;
-  return ResolveKey(key, site, doc) ? Lookup(site, doc, now) : nullptr;
+  std::string_view url;
+  std::string_view owner;
+  if (!SplitCacheKey(key, url, owner)) return nullptr;
+  // Find, not Intern: a lookup of never-seen names must not grow the space
+  // (and their kNoInternId pair indexes no entry).
+  return Lookup(ids_->sites.Find(owner), ids_->docs.Find(url), now);
 }
 
 CacheEntry* ProxyCache::Peek(core::SiteId site, core::DocId doc) {
   const auto it = index_.find(core::PackSiteDoc(site, doc));
   return it == index_.end() ? nullptr : &*it->second;
-}
-
-CacheEntry* ProxyCache::Peek(const std::string& key) {
-  core::SiteId site;
-  core::DocId doc;
-  return ResolveKey(key, site, doc) ? Peek(site, doc) : nullptr;
 }
 
 void ProxyCache::PushTtlItem(CacheEntry& entry) {
@@ -148,12 +135,6 @@ void ProxyCache::Index(LruList::iterator it) {
 
 bool ProxyCache::Erase(core::SiteId site, core::DocId doc) {
   return EraseByKey(core::PackSiteDoc(site, doc));
-}
-
-bool ProxyCache::Erase(const std::string& key) {
-  core::SiteId site;
-  core::DocId doc;
-  return ResolveKey(key, site, doc) && Erase(site, doc);
 }
 
 bool ProxyCache::EraseByKey(Key key) {

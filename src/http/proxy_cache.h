@@ -23,7 +23,8 @@
 // to the single-tier cache.
 //
 // Entries are keyed by (site, doc) ids in a core::IdSpace (DESIGN.md §16);
-// the string-keyed calls resolve url and owner once and use the id path.
+// the by-name calls (Lookup by key, EraseByUrl, Insert of an entry named
+// only by url/owner) resolve the names once and use the id path.
 #pragma once
 
 #include <cstdint>
@@ -125,7 +126,6 @@ class ProxyCache : private eviction::EvictionHost {
 
   // Lookup without the LRU promotion (for metrics/tests).
   CacheEntry* Peek(core::SiteId site, core::DocId doc);
-  CacheEntry* Peek(const std::string& key);
 
   // Inserts (or replaces) an entry, evicting per the policy until it fits.
   // Objects larger than the whole cache are dropped (counted as
@@ -135,7 +135,6 @@ class ProxyCache : private eviction::EvictionHost {
 
   // Removes an entry (invalidation path). Returns whether it existed.
   bool Erase(core::SiteId site, core::DocId doc);
-  bool Erase(const std::string& key);
 
   // Changes an entry's TTL expiry, keeping the expired-first index in sync.
   // `entry` must be owned by this cache.
@@ -210,10 +209,6 @@ class ProxyCache : private eviction::EvictionHost {
     return eviction::EntryView{KeyOf(entry), entry.size_bytes,
                                entry.ttl_expires, entry.heap_stamp_};
   }
-  // The ids a ComposeCacheKey string names; false when either name is
-  // unknown (a lookup of never-seen names must not grow the space).
-  bool ResolveKey(const std::string& key, core::SiteId& site,
-                  core::DocId& doc) const;
   void EmitEviction(const CacheEntry& entry, Time now, std::int64_t detail);
 
   bool EraseByKey(Key key);

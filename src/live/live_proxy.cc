@@ -3,34 +3,14 @@
 #include <chrono>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
-#include "http/cache_key.h"
+#include "core/consistency/steps.h"
 #include "live/live_server.h"
 #include "net/wire.h"
 #include "util/log.h"
 
 namespace webcc::live {
-namespace {
-
-// Snapshot of a cached copy's consistency state for the kernel.
-core::consistency::EntryMeta MetaOf(const http::CacheEntry& entry) {
-  core::consistency::EntryMeta meta;
-  meta.last_modified = entry.last_modified;
-  meta.fetched_at = entry.fetched_at;
-  meta.ttl_expires = entry.ttl_expires;
-  meta.lease_expires = entry.lease_expires;
-  meta.questionable = entry.questionable;
-  return meta;
-}
-
-core::consistency::ReplyMeta MetaOf(const net::Reply& reply) {
-  core::consistency::ReplyMeta meta;
-  meta.last_modified = reply.last_modified;
-  meta.lease_until = reply.lease_until;
-  return meta;
-}
-
-}  // namespace
 
 LiveProxy::LiveProxy(Options options)
     : options_(std::move(options)),
@@ -45,7 +25,7 @@ bool LiveProxy::Start() {
   {
     const util::MutexLock lock(mutex_);
     cache_.emplace(options_.cache_bytes, options_.eviction_policy,
-                   options_.cache_tier);
+                   options_.cache_tier, &ids_);
     cache_->set_trace_sink(options_.trace_sink);  // eviction events
   }
   running_.store(true);
@@ -80,55 +60,43 @@ void LiveProxy::SimulateRecovery() {
 LiveProxy::FetchResult LiveProxy::Fetch(const std::string& client_name,
                                         const std::string& url) {
   const std::string client_id = MakeClientId(client_name, port_);
-  const std::string key = http::ComposeCacheKey(url, client_id);
   const Time now = Now();
-  const core::consistency::Traits& traits = policy_->traits();
 
+  core::SiteId site = core::kNoInternId;
+  core::DocId doc = core::kNoInternId;
   net::Request request;
   request.url = url;
   request.client_id = client_id;
-  request.type = net::MessageType::kGet;
   bool lease_renewal = false;
-
+  std::vector<core::PcvItem> pcv_items;
   {
     const util::MutexLock lock(mutex_);
-    http::CacheEntry* entry = cache_->Lookup(key, now);
-    if (entry != nullptr) {
-      const core::consistency::HitDecision decision =
-          policy_->OnHit(MetaOf(*entry), now);
-      if (decision.action == core::consistency::HitAction::kServeLocal) {
-        obs::Emit(options_.trace_sink,
-                  {.type = obs::EventType::kRequestServed,
-                   .at = now,
-                   .url = url,
-                   .site = client_id,
-                   .detail = static_cast<std::int64_t>(obs::ServeKind::kLocalHit)});
-        FetchResult result;
-        result.ok = true;
-        result.local_hit = true;
-        result.version = entry->version;
-        result.size_bytes = entry->size_bytes;
-        return result;
-      }
-      lease_renewal = decision.lease_renewal;
-      request.type = net::MessageType::kIfModifiedSince;
-      request.if_modified_since = entry->last_modified;
+    site = ids_.sites.Intern(client_id);
+    doc = ids_.docs.Intern(url);
+    core::consistency::ProxyRequest step = core::consistency::BeginRequest(
+        *policy_, options_.piggyback, *cache_, site, doc, now);
+    if (step.local != nullptr) {
+      obs::Emit(options_.trace_sink,
+                {.type = obs::EventType::kRequestServed,
+                 .at = now,
+                 .url = url,
+                 .site = client_id,
+                 .detail =
+                     static_cast<std::int64_t>(obs::ServeKind::kLocalHit)});
+      return FetchResult{.ok = true,
+                         .local_hit = true,
+                         .version = step.local->version,
+                         .size_bytes = step.local->size_bytes};
     }
-
-    // PCV: since we are contacting the server anyway, piggyback a batch of
-    // this proxy's TTL-expired entries for bulk validation.
-    if (traits.piggyback_validation) {
-      for (http::CacheEntry* expired : cache_->TakeExpired(
-               now, options_.piggyback.max_validations_per_request)) {
-        if (expired->key == key) {
-          // The request itself validates this entry; leave it indexed.
-          cache_->SetTtlExpiry(*expired, expired->ttl_expires);
-          continue;
-        }
-        request.pcv_queries.push_back(net::PcvQuery{
-            expired->url, expired->owner, expired->last_modified});
-      }
+    request.type = step.request.type;
+    request.if_modified_since = step.request.if_modified_since;
+    lease_renewal = step.lease_renewal;
+    for (const core::PcvItem& item : step.pcv_items) {
+      request.pcv_queries.push_back(net::PcvQuery{
+          ids_.DocName(item.doc), ids_.SiteName(item.site),
+          item.last_modified});
     }
+    pcv_items = std::move(step.pcv_items);
   }
 
   obs::Emit(options_.trace_sink,
@@ -151,76 +119,70 @@ LiveProxy::FetchResult LiveProxy::Fetch(const std::string& client_name,
   const auto* reply = std::get_if<net::Reply>(&*message);
   if (reply == nullptr) return FetchResult{};
 
-  FetchResult result;
-  result.ok = true;
-  result.version = reply->version;
-
+  const bool transfer = reply->type == net::MessageType::kReply200;
   obs::Emit(options_.trace_sink,
             {.type = obs::EventType::kRequestServed,
              .at = now,
              .url = url,
              .site = client_id,
              .detail = static_cast<std::int64_t>(
-                 reply->type == net::MessageType::kReply200
-                     ? obs::ServeKind::kTransfer
-                     : obs::ServeKind::kValidated)});
+                 transfer ? obs::ServeKind::kTransfer
+                          : obs::ServeKind::kValidated)});
 
+  FetchResult result{.ok = true,
+                     .validated = !transfer,
+                     .version = reply->version,
+                     .size_bytes = reply->body_bytes};
   const util::MutexLock lock(mutex_);
 
-  // Apply the reply's piggyback freshness information first, so a
-  // just-fetched body is inserted after any purge of its URL (the replay's
-  // ApplyPiggyback runs before DeliverReply for the same reason).
-  if (!reply->pcv_invalid.empty() || !request.pcv_queries.empty()) {
-    std::unordered_set<std::string> invalid_keys;
-    for (const net::PcvStale& stale : reply->pcv_invalid) {
-      const std::string stale_key =
-          http::ComposeCacheKey(stale.url, stale.owner);
-      if (cache_->Erase(stale_key)) pcv_invalidated_.fetch_add(1);
-      invalid_keys.insert(stale_key);
-    }
-    // Entries the server did not flag are certified valid: re-arm their TTL.
-    for (const net::PcvQuery& query : request.pcv_queries) {
-      const std::string query_key =
-          http::ComposeCacheKey(query.url, query.owner);
-      if (invalid_keys.count(query_key) != 0) continue;
-      http::CacheEntry* entry = cache_->Peek(query_key);
-      if (entry == nullptr) continue;  // evicted while we were on the wire
-      cache_->SetTtlExpiry(*entry, policy_->OnPcvValid(MetaOf(*entry), now));
-    }
+  // The server echoes only the invalid piggybacked copies; every other
+  // item is certified valid.
+  std::unordered_set<std::uint64_t> stale;
+  for (const net::PcvStale& copy : reply->pcv_invalid) {
+    stale.insert(core::PackSiteDoc(ids_.sites.Find(copy.owner),
+                                   ids_.docs.Find(copy.url)));
   }
+  std::vector<core::PcvVerdict> verdicts;
+  verdicts.reserve(pcv_items.size());
+  for (const core::PcvItem& item : pcv_items) {
+    verdicts.push_back(
+        {item.doc, item.site,
+         stale.count(core::PackSiteDoc(item.site, item.doc)) != 0});
+  }
+  std::vector<core::DocId> psi_docs;
   for (const std::string& modified : reply->psi_modified) {
-    psi_purged_.fetch_add(cache_->EraseByUrl(modified));
+    const core::DocId modified_doc = ids_.docs.Find(modified);
+    if (modified_doc != core::kNoInternId) psi_docs.push_back(modified_doc);
   }
+  const core::consistency::PiggybackApplied applied =
+      core::consistency::ApplyPiggyback(*policy_, *cache_, verdicts, psi_docs,
+                                        now);
+  pcv_invalidated_.fetch_add(applied.pcv_invalidated);
+  psi_purged_.fetch_add(applied.psi_erased);
 
-  if (reply->type == net::MessageType::kReply200) {
-    const core::consistency::InsertDecision decision =
-        policy_->OnMissReply(MetaOf(*reply), now);
-    http::CacheEntry entry;
-    entry.key = key;
-    entry.url = url;
-    entry.owner = client_id;
-    entry.size_bytes = reply->body_bytes;
-    entry.last_modified = reply->last_modified;
-    entry.version = reply->version;
-    entry.fetched_at = now;
-    entry.ttl_expires = decision.ttl_expires;
-    entry.lease_expires = decision.lease_expires;
-    result.size_bytes = entry.size_bytes;
-    cache_->Insert(std::move(entry), now);
-  } else {
-    result.validated = true;
-    http::CacheEntry* entry = cache_->Peek(key);
-    if (entry != nullptr) {
-      const core::consistency::ValidateDecision decision =
-          policy_->OnValidateReply(MetaOf(*reply), now);
-      if (decision.clear_questionable) entry->questionable = false;
-      if (decision.set_ttl) cache_->SetTtlExpiry(*entry, decision.ttl_expires);
-      if (decision.set_lease) entry->lease_expires = decision.lease_expires;
-      result.size_bytes = entry->size_bytes;
-      result.version = entry->version;
-    }
+  const net::DocReply by_id{.type = reply->type,
+                            .doc = doc,
+                            .body_bytes = reply->body_bytes,
+                            .last_modified = reply->last_modified,
+                            .version = reply->version,
+                            .lease_until = reply->lease_until};
+  if (const http::CacheEntry* validated = core::consistency::ApplyReply(
+          *policy_, *cache_, by_id, site, now)) {
+    result.version = validated->version;
+    result.size_bytes = validated->size_bytes;
   }
   return result;
+}
+
+void LiveProxy::ApplyInvalidation(const std::string& client_id,
+                                  const std::string& url) {
+  // Names this proxy never fetched resolve to kNoInternId: no copy to drop.
+  cache_->Erase(ids_.sites.Find(client_id), ids_.docs.Find(url));
+  invalidations_received_.fetch_add(1);
+  obs::Emit(options_.trace_sink, {.type = obs::EventType::kInvalidateDelivered,
+                                  .at = Now(),
+                                  .url = url,
+                                  .site = client_id});
 }
 
 void LiveProxy::AcceptLoop() {
@@ -238,37 +200,23 @@ void LiveProxy::AcceptLoop() {
     // A proxy running a protocol without invalidation callbacks predates
     // the INVALIDATE extension and ignores such messages, as the paper's
     // weak-consistency baselines do.
+    if (!policy_->traits().invalidation_callbacks) continue;
     if (const auto* batch = std::get_if<net::BatchInvalidation>(&*message)) {
-      if (!policy_->traits().invalidation_callbacks) continue;
       // A batched frame is semantically the list of single invalidations it
       // carries: same per-URL purge, counter and delivery event as if each
       // URL had arrived on its own connection.
       const util::MutexLock lock(mutex_);
       for (const std::string& url : batch->urls) {
-        cache_->Erase(http::ComposeCacheKey(url, batch->client_id));
-        invalidations_received_.fetch_add(1);
-        obs::Emit(options_.trace_sink,
-                  {.type = obs::EventType::kInvalidateDelivered,
-                   .at = Now(),
-                   .url = url,
-                   .site = batch->client_id});
+        ApplyInvalidation(batch->client_id, url);
       }
       continue;
     }
     const auto* invalidation = std::get_if<net::Invalidation>(&*message);
     if (invalidation == nullptr) continue;
-    if (!policy_->traits().invalidation_callbacks) continue;
 
     const util::MutexLock lock(mutex_);
     if (invalidation->type == net::MessageType::kInvalidateUrl) {
-      cache_->Erase(
-          http::ComposeCacheKey(invalidation->url, invalidation->client_id));
-      invalidations_received_.fetch_add(1);
-      obs::Emit(options_.trace_sink,
-                {.type = obs::EventType::kInvalidateDelivered,
-                 .at = Now(),
-                 .url = invalidation->url,
-                 .site = invalidation->client_id});
+      ApplyInvalidation(invalidation->client_id, invalidation->url);
     } else {
       // Server-address invalidation: the recovering server cannot know what
       // changed while it was down, so every copy of its documents at this

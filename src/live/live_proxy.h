@@ -1,15 +1,16 @@
 // Real-TCP caching proxy, the live counterpart of the replay's
 // pseudo-client proxies (Harvest "cached").
 //
-// Serves Fetch() calls on behalf of named real clients (entries are
-// namespaced by http::ComposeCacheKey(url, client), as in the paper's
-// replay), forwards misses and validations to the live server, and runs a
-// listener for the server's INVALIDATE pushes. Every consistency decision —
-// serve-local vs validate, TTL/lease state on insert and on a 304 — comes
-// from the same core/consistency kernel the replay engine dispatches
-// through, so all five protocols (adaptive TTL, poll-every-time,
-// invalidation, PCV, PSI) and the lease modes behave identically in
-// simulation and deployment (tests/test_differential.cc asserts this).
+// Serves Fetch() calls on behalf of named real clients (one cache entry per
+// (client, document) pair, as in the paper's replay), forwards misses and
+// validations to the live server, and runs a listener for the server's
+// INVALIDATE pushes. The protocol itself is the replay engine's: Fetch runs
+// core/consistency/steps.h's proxy step on ids in the proxy's own
+// core::IdSpace, so all five protocols (adaptive TTL, poll-every-time,
+// invalidation, PCV, PSI) and the lease modes are one code path in
+// simulation and deployment. This class holds only the transport: names
+// are interned when Fetch is called and resolved (never interned) when a
+// push or a reply names them, and messages become wire lines at the socket.
 #pragma once
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include <thread>
 
 #include "core/consistency/policy.h"
+#include "core/id_space.h"
 #include "core/piggyback.h"
 #include "core/policy.h"
 #include "http/proxy_cache.h"
@@ -89,6 +91,9 @@ class LiveProxy {
 
  private:
   void AcceptLoop();
+  // A pushed INVALIDATE for `client_id`'s copy of `url`.
+  void ApplyInvalidation(const std::string& client_id, const std::string& url)
+      WEBCC_REQUIRES(mutex_);
   Time Now() const;
 
   Options options_;
@@ -96,6 +101,8 @@ class LiveProxy {
   std::uint16_t port_ = 0;
 
   mutable util::Mutex mutex_;
+  // Names the cache's entries; grows only in Fetch.
+  core::IdSpace ids_ WEBCC_GUARDED_BY(mutex_);
   std::optional<http::ProxyCache> cache_ WEBCC_GUARDED_BY(mutex_);
 
   // Shared by design without a lock: the accept thread blocks in Accept()

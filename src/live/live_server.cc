@@ -2,9 +2,11 @@
 
 #include <charconv>
 #include <chrono>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/consistency/steps.h"
 #include "net/wire.h"
 #include "util/log.h"
 
@@ -33,8 +35,7 @@ LiveServer::LiveServer(Options options)
       policy_(core::consistency::MakePolicy(options_.protocol,
                                             core::AdaptiveTtlConfig{})),
       accel_(docs_, options_.lease,
-             options_.shards > 0 ? options_.shards : 1, options_.server_name),
-      origin_(docs_) {
+             options_.shards > 0 ? options_.shards : 1, options_.server_name) {
   // The accelerator emits lease_grant / notify / invalidate_generated /
   // invalidate_server events itself once it has the sink.
   accel_.set_trace_sink(options_.trace_sink);
@@ -72,7 +73,7 @@ void LiveServer::AddDocument(std::string path, std::uint64_t size_bytes) {
 
 std::size_t LiveServer::TouchDocument(const std::string& path) {
   const bool fan_out = policy_->OnWrite().fan_out_invalidations;
-  std::vector<net::Invalidation> invalidations;
+  std::vector<Frame> frames;
   {
     const util::MutexLock lock(mutex_);
     const Time now = Now();
@@ -87,10 +88,10 @@ std::size_t LiveServer::TouchDocument(const std::string& path) {
       // every check-in and the table never accumulates dead entries
       // between writes.
       accel_.PruneExpired(now);
-      invalidations = accel_.HandleNotify(net::Notify{path}, now);
+      frames = EncodeFrames(accel_.HandleNotify(doc, now));
     }
   }
-  return PushInvalidations(invalidations);
+  return Push(frames);
 }
 
 void LiveServer::CrashTables() {
@@ -99,49 +100,46 @@ void LiveServer::CrashTables() {
 }
 
 std::size_t LiveServer::Recover() {
-  std::vector<net::Invalidation> notices;
+  std::vector<Frame> frames;
   {
     const util::MutexLock lock(mutex_);
-    notices = accel_.Recover();
+    frames = EncodeFrames(accel_.Recover());
   }
-  return PushInvalidations(notices);
+  return Push(frames);
 }
 
-std::size_t LiveServer::PushInvalidations(
-    const std::vector<net::Invalidation>& invalidations) {
+std::vector<LiveServer::Frame> LiveServer::EncodeFrames(
+    const std::vector<net::DocInvalidation>& invalidations) const {
   // One wire frame per push: every kInvalidateUrl bound for the same proxy
   // from one check-in folds into a single INVB frame (first-appearance
   // order); server-address recovery notices always travel alone as INVSRV.
-  // All counters and failure events stay per-URL.
-  struct Frame {
-    std::string client_id;
-    std::string line;
-    // URLs the frame carries, for per-URL accounting; a server-address
-    // notice contributes one empty entry (its INVSRV line has no URL).
-    std::vector<std::string> urls;
-  };
+  const core::IdSpace& ids = docs_.ids();
   std::vector<Frame> frames;
-  std::unordered_map<std::string, std::size_t> frame_of_site;
-  for (const net::Invalidation& invalidation : invalidations) {
+  std::unordered_map<core::SiteId, std::size_t> frame_of_site;
+  for (const net::DocInvalidation& invalidation : invalidations) {
     if (invalidation.type != net::MessageType::kInvalidateUrl) {
-      frames.push_back(Frame{invalidation.client_id,
-                             net::EncodeLine(invalidation),
+      frames.push_back(Frame{ids.SiteName(invalidation.site),
+                             net::EncodeLine(net::ToWire(invalidation, ids)),
                              {std::string()}});
       continue;
     }
     const auto [it, inserted] =
-        frame_of_site.try_emplace(invalidation.client_id, frames.size());
+        frame_of_site.try_emplace(invalidation.site, frames.size());
     if (inserted) {
-      frames.push_back(Frame{invalidation.client_id, {}, {}});
+      frames.push_back(Frame{ids.SiteName(invalidation.site), {}, {}});
     }
-    frames[it->second].urls.push_back(invalidation.url);
+    frames[it->second].urls.push_back(ids.DocName(invalidation.doc));
   }
   for (Frame& frame : frames) {
     if (!frame.line.empty()) continue;  // already-encoded INVSRV
     frame.line = net::EncodeLine(
         net::Message(net::BatchInvalidation{frame.client_id, frame.urls}));
   }
+  return frames;
+}
 
+std::size_t LiveServer::Push(const std::vector<Frame>& frames) {
+  // All counters and failure events stay per-URL.
   std::size_t pushed = 0;
   for (const Frame& frame : frames) {
     const auto port = ParseClientPort(frame.client_id);
@@ -202,6 +200,44 @@ void LiveServer::AcceptLoop() {
   }
 }
 
+std::optional<net::Reply> LiveServer::Serve(const net::Request& request,
+                                            Time now) {
+  core::IdSpace& ids = docs_.ids();
+  const core::DocId doc = ids.docs.Find(request.url);
+  // An unknown document is refused before its requester is registered.
+  if (docs_.Find(doc) == nullptr) return std::nullopt;
+  const net::DocRequest by_id{request.type, doc,
+                              ids.sites.Intern(request.client_id),
+                              request.if_modified_since};
+  std::vector<core::PcvItem> pcv_items;
+  for (const net::PcvQuery& query : request.pcv_queries) {
+    pcv_items.push_back(core::PcvItem{ids.docs.Find(query.url),
+                                      ids.sites.Find(query.owner),
+                                      query.last_modified});
+  }
+  // PSI contact cursors key on the callback port that identifies the
+  // proxy, like the replay's per-pseudo-client cursors.
+  Time& psi_cursor =
+      psi_cursor_[ParseClientPort(request.client_id).value_or(0)];
+  const std::optional<core::consistency::ServerAnswer> answer =
+      core::consistency::ServeRequest(*policy_, options_.piggyback, docs_,
+                                      accel_, mod_log_, by_id, pcv_items,
+                                      psi_cursor, now);
+  if (!answer.has_value()) return std::nullopt;
+
+  net::Reply reply = net::ToWire(answer->reply, ids);
+  // Verdicts come back in query order; only the invalid ones are echoed.
+  for (std::size_t i = 0; i < answer->verdicts.size(); ++i) {
+    if (!answer->verdicts[i].invalid) continue;
+    const net::PcvQuery& query = request.pcv_queries[i];
+    reply.pcv_invalid.push_back(net::PcvStale{query.url, query.owner});
+  }
+  for (const core::DocId modified : answer->psi_docs) {
+    reply.psi_modified.push_back(ids.DocName(modified));
+  }
+  return reply;
+}
+
 void LiveServer::HandleConnection(TcpStream stream) {
   stream.SetReadTimeout(5000);
   const std::optional<std::string> line = stream.ReadLine();
@@ -211,55 +247,12 @@ void LiveServer::HandleConnection(TcpStream stream) {
     stream.WriteAll("ERR malformed\n");
     return;
   }
-  const core::consistency::Traits& traits = policy_->traits();
 
   if (const auto* request = std::get_if<net::Request>(&*message)) {
     std::optional<net::Reply> reply;
     {
       const util::MutexLock lock(mutex_);
-      const Time now = Now();
-      // Protocols without invalidation callbacks run no accelerator: no
-      // site registration, no leases — the origin answers directly, as in
-      // the replay's non-invalidation routing.
-      reply = traits.invalidation_callbacks
-                  ? accel_.HandleRequest(*request, now)
-                  : origin_.Handle(*request, now);
-      if (reply.has_value()) {
-        // PCV: bulk-validate the piggybacked batch against the file
-        // system; only the invalid entries are echoed back.
-        if (traits.piggyback_validation && !request->pcv_queries.empty()) {
-          std::vector<core::PcvItem> items;
-          items.reserve(request->pcv_queries.size());
-          for (const net::PcvQuery& query : request->pcv_queries) {
-            items.push_back(core::PcvItem{docs_.ids().docs.Find(query.url),
-                                          core::kNoInternId,
-                                          query.last_modified});
-          }
-          // Verdicts come back in query order; echo the invalid queries.
-          const std::vector<core::PcvVerdict> verdicts =
-              core::ValidatePiggyback(docs_, items);
-          for (std::size_t i = 0; i < verdicts.size(); ++i) {
-            if (!verdicts[i].invalid) continue;
-            const net::PcvQuery& query = request->pcv_queries[i];
-            reply->pcv_invalid.push_back(net::PcvStale{query.url, query.owner});
-          }
-        }
-        // PSI: attach the documents modified since this proxy's previous
-        // contact and advance its cursor (keyed by the callback port that
-        // identifies the proxy, like the replay's per-pseudo-client
-        // cursors).
-        if (traits.piggyback_invalidation) {
-          const std::uint16_t proxy =
-              ParseClientPort(request->client_id).value_or(0);
-          Time& cursor = psi_cursor_[proxy];
-          core::ModificationLog::Window window = mod_log_.CollectSince(
-              cursor, now, options_.piggyback.max_invalidations_per_reply);
-          cursor = std::max(cursor, window.advanced_to);
-          for (const core::DocId doc : window.docs) {
-            reply->psi_modified.push_back(docs_.ids().DocName(doc));
-          }
-        }
-      }
+      reply = Serve(*request, Now());
     }
     if (!reply.has_value()) {
       stream.WriteAll("ERR notfound\n");
@@ -280,13 +273,17 @@ void LiveServer::HandleConnection(TcpStream stream) {
   if (const auto* notify = std::get_if<net::Notify>(&*message)) {
     // Out-of-band check-in (the replay drives TouchDocument directly; a
     // remote modifier can also announce an already-applied edit). Weak
-    // protocols owe no fan-out — the check-in is acknowledged and dropped.
-    std::vector<net::Invalidation> invalidations;
+    // protocols owe no fan-out — the check-in is acknowledged and dropped,
+    // as is one for a name the server never stored.
+    std::vector<Frame> frames;
     if (policy_->OnWrite().fan_out_invalidations) {
       const util::MutexLock lock(mutex_);
-      invalidations = accel_.HandleNotify(*notify, Now());
+      const core::DocId doc = docs_.ids().docs.Find(notify->url);
+      if (doc != core::kNoInternId) {
+        frames = EncodeFrames(accel_.HandleNotify(doc, Now()));
+      }
     }
-    const std::size_t pushed = PushInvalidations(invalidations);
+    const std::size_t pushed = Push(frames);
     stream.WriteAll("OK " + std::to_string(pushed) + "\n");
     return;
   }

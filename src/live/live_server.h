@@ -5,11 +5,13 @@
 // the configured protocol's traits call for invalidation callbacks — the
 // accelerator fronts it, registers every requesting site, and pushes
 // INVALIDATE messages over TCP when a document is touched and checked in.
-// Which machinery runs is the consistency kernel's decision
-// (core/consistency): the same traits and OnWrite() calls that drive the
-// replay engine drive this server, so simulated and deployed behavior match
-// by construction. One request per connection; the wire format is
-// net/wire.h (including the optional PCV/PSI piggyback sections).
+// Each request runs the replay engine's server step
+// (core/consistency/steps.h) on ids in the document store's core::IdSpace:
+// wire names are resolved when a request is decoded, and replies and
+// invalidations become wire lines only at the socket, so simulated and
+// deployed behavior match by construction. One request per connection; the
+// wire format is net/wire.h (including the optional PCV/PSI piggyback
+// sections).
 //
 // Invalidations must reach the requesting proxy's listener, so live client
 // identifiers embed the proxy's callback port: "name@port" (see
@@ -24,13 +26,13 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "core/consistency/policy.h"
 #include "core/sharded_accelerator.h"
 #include "core/piggyback.h"
 #include "core/policy.h"
 #include "http/document_store.h"
-#include "http/origin.h"
 #include "live/socket.h"
 #include "obs/trace_sink.h"
 #include "util/thread_annotations.h"
@@ -96,7 +98,8 @@ class LiveServer {
   // site ever seen. Returns how many were pushed.
   std::size_t Recover();
 
-  // Monotonic protocol time (microseconds since Start).
+  // Protocol time: Unix-epoch microseconds from the system clock, because
+  // lease expiries and modification times cross the wire to the proxies.
   Time Now() const;
 
   std::uint64_t requests_served() const { return requests_served_.load(); }
@@ -113,25 +116,40 @@ class LiveServer {
   std::uint64_t push_retries() const { return push_retries_.load(); }
 
  private:
+  // One wire line bound for one proxy.
+  struct Frame {
+    std::string client_id;
+    std::string line;
+    // URLs the frame carries, for per-URL accounting; a server-address
+    // notice contributes one empty entry (its INVSRV line has no URL).
+    std::vector<std::string> urls;
+  };
+
   void AcceptLoop();
   void HandleConnection(TcpStream stream);
-  std::size_t PushInvalidations(
-      const std::vector<net::Invalidation>& invalidations);
+  // Runs the server step for a decoded request and encodes its answer;
+  // std::nullopt for an unknown URL.
+  std::optional<net::Reply> Serve(const net::Request& request, Time now)
+      WEBCC_REQUIRES(mutex_);
+  // Groups invalidations into one frame per site: an INVB carrying every
+  // URL bound for it, in first-appearance order; INVSRV notices alone.
+  std::vector<Frame> EncodeFrames(
+      const std::vector<net::DocInvalidation>& invalidations) const
+      WEBCC_REQUIRES(mutex_);
+  // Sends the frames (without the lock); returns the invalidations pushed.
+  std::size_t Push(const std::vector<Frame>& frames);
 
   Options options_;
   std::unique_ptr<const core::consistency::ConsistencyPolicy> policy_;
   std::uint16_t port_ = 0;
 
   mutable util::Mutex mutex_;
-  // The document store, accelerator (site lists + journal), origin and PSI
-  // state are all confined behind mutex_: handler threads, the admin
-  // surface (AddDocument/TouchDocument) and the failure drills mutate them
-  // concurrently.
+  // The document store (and its id space), accelerator (site lists +
+  // journal) and PSI state are all confined behind mutex_: handler threads,
+  // the admin surface (AddDocument/TouchDocument) and the failure drills
+  // mutate them concurrently.
   http::DocumentStore docs_ WEBCC_GUARDED_BY(mutex_);
   core::ShardedAccelerator accel_ WEBCC_GUARDED_BY(mutex_);
-  // Plain origin service for the protocols whose traits run no accelerator
-  // (TTL, polling, PCV, PSI) — the replay routes these the same way.
-  http::OriginServer origin_ WEBCC_GUARDED_BY(mutex_);
   // PSI server state: every modification in arrival order, plus each
   // proxy's last-contact cursor (keyed by its callback port).
   core::ModificationLog mod_log_ WEBCC_GUARDED_BY(mutex_);

@@ -42,8 +42,6 @@ Invalidation ToWire(const DocInvalidation& invalidation,
   }
   out.server = std::string(invalidation.server);
   out.client_id = ids.SiteName(invalidation.site);
-  out.lease_until = invalidation.lease_until;
-  out.recovery = invalidation.recovery;
   return out;
 }
 

@@ -89,12 +89,6 @@ struct Invalidation {
   std::string server;
   // The real client whose cache entry is addressed.
   std::string client_id;
-  // Bookkeeping carried alongside (not on the wire; WireSize ignores both):
-  // the lease expiry the target holds — the write may complete without this
-  // site's ack once the lease lapses (Section 6) — and whether this
-  // invalidation belongs to crash recovery rather than a live write.
-  Time lease_until = kNoLease;
-  bool recovery = false;
 };
 
 // Batched invalidation: one wire frame carrying every URL the sender has
@@ -115,8 +109,9 @@ struct Notify {
 };
 
 // --- id-typed messages ------------------------------------------------------
-// The replay's simulated traffic: the messages above with the document and
-// site named by ids in the run's core::IdSpace (DESIGN.md §16).
+// The protocol's traffic inside both stacks: the messages above with the
+// document and site named by ids in a core::IdSpace (DESIGN.md §16). The
+// live stack turns them into the string forms only at its sockets.
 
 struct DocRequest {
   MessageType type = MessageType::kGet;  // kGet or kIfModifiedSince
@@ -140,7 +135,11 @@ struct DocInvalidation {
   core::SiteId site = core::kNoInternId;
   // kInvalidateServer: a view of the accelerator's server name.
   std::string_view server;
-  Time lease_until = kNoLease;  // bookkeeping, as on Invalidation
+  // Bookkeeping carried alongside (not on the wire; WireSize ignores both):
+  // the lease expiry the target holds — the write may complete without this
+  // site's ack once the lease lapses (Section 6) — and whether this
+  // invalidation belongs to crash recovery rather than a live write.
+  Time lease_until = kNoLease;
   bool recovery = false;
 };
 

@@ -9,15 +9,12 @@
 #include "core/lease.h"
 #include "obs/event.h"
 #include "replay/engine_impl.h"
-#include "synth/generate.h"
 #include "util/distributions.h"
 #include "util/log.h"
 #include "util/rng.h"
 
 namespace webcc::replay {
 namespace detail {
-
-using core::consistency::HitAction;
 
 void Engine::Setup() {
   sink_ = config_.trace_sink;
@@ -49,7 +46,6 @@ void Engine::Setup() {
     WEBCC_CHECK_MSG(docs_.Add(doc.path, doc.size_bytes, -initial_age),
                     "trace names a document twice: " + doc.path);
   }
-  origin_ = std::make_unique<http::OriginServer>(docs_);
   mod_times_.resize(trace_.documents.size());
   writes_in_progress_.assign(trace_.documents.size(), 0);
 
@@ -439,31 +435,13 @@ void Engine::IssueNext(PseudoClient& pc) {
   const core::SiteId owner =
       config_.shared_proxy_cache ? ProxySite(pc.index) : record.client;
   const Time trace_time = record.timestamp;
-  http::CacheEntry* entry = pc.cache->Lookup(owner, record.doc, trace_time);
-
-  bool validate = false;       // IMS instead of a full GET
-  bool lease_renewal = false;  // the IMS exists only because a lease lapsed
-  if (entry != nullptr) {
-    const core::consistency::HitDecision decision =
-        policy_->OnHit(MetaOf(*entry), trace_time);
-    if (decision.action == HitAction::kServeLocal) {
-      LocalServe(pc, *entry, trace_time);
-      return;
-    }
-    validate = true;
-    lease_renewal = decision.lease_renewal;
+  core::consistency::ProxyRequest step = core::consistency::BeginRequest(
+      *policy_, config_.piggyback, *pc.cache, owner, record.doc, trace_time);
+  if (step.local != nullptr) {
+    LocalServe(pc, *step.local, trace_time);
+    return;
   }
-
-  net::DocRequest request;
-  request.doc = record.doc;
-  request.site = owner;
-  if (validate) {
-    request.type = net::MessageType::kIfModifiedSince;
-    request.if_modified_since = entry->last_modified;
-  } else {
-    request.type = net::MessageType::kGet;
-  }
-  SendToServer(pc, request, trace_time, lease_renewal);
+  SendToServer(pc, std::move(step), trace_time);
 }
 
 void Engine::FinishRequest(PseudoClient& pc, Time latency) {
@@ -517,8 +495,10 @@ void Engine::LocalServe(PseudoClient& pc, http::CacheEntry& entry,
   FinishRequest(pc, config_.client_costs.proxy_hit_time);
 }
 
-void Engine::SendToServer(PseudoClient& pc, const net::DocRequest& request,
-                          Time trace_time, bool lease_renewal) {
+void Engine::SendToServer(PseudoClient& pc,
+                          core::consistency::ProxyRequest step,
+                          Time trace_time) {
+  const net::DocRequest& request = step.request;
   const std::uint64_t seq = next_seq_++;
   pc.outstanding = seq;
   pc.request_start = sim_.now();
@@ -532,34 +512,19 @@ void Engine::SendToServer(PseudoClient& pc, const net::DocRequest& request,
                       .site = ids_.SiteName(request.site)});
   } else {
     ++metrics_.ims_requests;
-    if (lease_renewal) ++metrics_.lease_renewal_ims;
+    if (step.lease_renewal) ++metrics_.lease_renewal_ims;
     obs::Emit(sink_, {.type = obs::EventType::kImsSent,
                       .at = sim_.now(),
                       .trace_time = trace_time,
                       .url = ids_.DocName(request.doc),
                       .site = ids_.SiteName(request.site),
-                      .detail = lease_renewal ? 1 : 0});
+                      .detail = step.lease_renewal ? 1 : 0});
   }
 
-  // PCV: since we are contacting the server anyway, piggyback a batch of
-  // this proxy's TTL-expired entries for bulk validation.
-  std::uint64_t piggyback_bytes = 0;
-  if (Traits().piggyback_validation) {
-    std::vector<core::PcvItem> items;
-    for (http::CacheEntry* expired : pc.cache->TakeExpired(
-             trace_time, config_.piggyback.max_validations_per_request)) {
-      if (expired->site == request.site && expired->doc == request.doc) {
-        // The request itself validates this entry; leave it indexed.
-        pc.cache->SetTtlExpiry(*expired, expired->ttl_expires);
-        continue;
-      }
-      items.push_back(core::PcvItem{expired->doc, expired->site,
-                                    expired->last_modified});
-    }
-    metrics_.pcv_items_piggybacked += items.size();
-    piggyback_bytes = core::PcvRequestExtraBytes(items, ids_);
-    if (!items.empty()) pcv_in_flight_[seq] = std::move(items);
-  }
+  metrics_.pcv_items_piggybacked += step.pcv_items.size();
+  const std::uint64_t piggyback_bytes =
+      core::PcvRequestExtraBytes(step.pcv_items, ids_);
+  if (!step.pcv_items.empty()) pcv_in_flight_[seq] = std::move(step.pcv_items);
   metrics_.message_bytes += net::WireSize(request, ids_) + piggyback_bytes;
 
   // Reply timeout: the closed loop must advance even if the server is dead.
@@ -593,43 +558,31 @@ void Engine::SendToServer(PseudoClient& pc, const net::DocRequest& request,
 
 void Engine::ServerHandle(const net::DocRequest& request, int client_index,
                           std::uint64_t seq, Time trace_time) {
-  std::optional<net::DocReply> reply =
-      InvalidationMode() ? accel_.HandleRequest(request, trace_time)
-                         : origin_->Handle(request, trace_time);
-  WEBCC_CHECK_MSG(reply.has_value(), "trace referenced an unknown document");
-
-  const bool transfer = reply->type == net::MessageType::kReply200;
-  // PCV: bulk-validate the piggybacked batch against the file system.
-  std::vector<core::PcvVerdict> verdicts;
+  std::vector<core::PcvItem> pcv_items;
   if (const auto it = pcv_in_flight_.find(seq); it != pcv_in_flight_.end()) {
-    verdicts = core::ValidatePiggyback(docs_, it->second);
+    pcv_items = std::move(it->second);
     pcv_in_flight_.erase(it);
   }
-
-  // PSI: attach the documents modified since this proxy's last contact and
-  // advance its cursor.
-  std::vector<core::DocId> psi_docs;
-  if (Traits().piggyback_invalidation) {
-    Time& cursor = psi_last_contact_[client_index];
-    core::ModificationLog::Window window = mod_log_.CollectSince(
-        cursor, trace_time, config_.piggyback.max_invalidations_per_reply);
-    cursor = std::max(cursor, window.advanced_to);
-    psi_docs = std::move(window.docs);
-  }
+  std::optional<core::consistency::ServerAnswer> answer =
+      core::consistency::ServeRequest(
+          *policy_, config_.piggyback, docs_, accel_, mod_log_, request,
+          pcv_items, psi_last_contact_[client_index], trace_time);
+  WEBCC_CHECK_MSG(answer.has_value(), "trace referenced an unknown document");
+  const net::DocReply& reply = answer->reply;
 
   const Time piggyback_cpu =
-      static_cast<Time>(verdicts.size() + psi_docs.size()) *
+      static_cast<Time>(answer->verdicts.size() + answer->psi_docs.size()) *
       config_.server_costs.piggyback_item_cpu;
-
-  const Time ready = ChargeServer(transfer, piggyback_cpu);
-  NoteReply(*reply, request.site, trace_time);
+  const Time ready =
+      ChargeServer(reply.type == net::MessageType::kReply200, piggyback_cpu);
+  NoteReply(reply, request.site, trace_time);
   const std::uint64_t piggyback_bytes =
-      core::PcvReplyExtraBytes(verdicts, ids_) +
-      core::PsiReplyExtraBytes(psi_docs, ids_);
-  metrics_.message_bytes += net::WireSize(*reply, ids_) + piggyback_bytes;
-  ReplyToClient(ServerNode(), ready, client_index, seq, *reply, request.site,
-                piggyback_bytes, trace_time, std::move(verdicts),
-                std::move(psi_docs));
+      core::PcvReplyExtraBytes(answer->verdicts, ids_) +
+      core::PsiReplyExtraBytes(answer->psi_docs, ids_);
+  metrics_.message_bytes += net::WireSize(reply, ids_) + piggyback_bytes;
+  ReplyToClient(ServerNode(), ready, client_index, seq, reply, request.site,
+                piggyback_bytes, trace_time, std::move(answer->verdicts),
+                std::move(answer->psi_docs));
 }
 
 Time Engine::ChargeServer(bool transfer, Time extra_cpu) {
@@ -679,118 +632,47 @@ void Engine::ReplyToClient(sim::NodeId from, Time ready, int client_index,
               [this, client_index, seq, reply, owner, trace_time,
                verdicts = std::move(verdicts),
                psi_docs = std::move(psi_docs)] {
-                ApplyPiggyback(client_index, verdicts, psi_docs, trace_time);
-                DeliverReply(client_index, seq, reply, owner, trace_time);
+                DeliverReply(client_index, seq, reply, owner, trace_time,
+                             verdicts, psi_docs);
               });
   });
 }
 
-// Applies PCV verdicts and PSI change notices at the proxy, before the
-// reply itself is processed (so a just-fetched body is inserted after any
-// purge of its URL).
-void Engine::ApplyPiggyback(int client_index,
-                            const std::vector<core::PcvVerdict>& verdicts,
-                            const std::vector<core::DocId>& psi_docs,
-                            Time trace_time) {
-  PseudoClient& pc = clients_[client_index];
-  for (const core::PcvVerdict& verdict : verdicts) {
-    http::CacheEntry* entry = pc.cache->Peek(verdict.site, verdict.doc);
-    if (entry == nullptr) continue;
-    if (verdict.invalid) {
-      pc.cache->Erase(verdict.site, verdict.doc);
-      ++metrics_.pcv_invalidated;
-    } else {
-      pc.cache->SetTtlExpiry(*entry,
-                             policy_->OnPcvValid(MetaOf(*entry), trace_time));
-    }
-  }
-  for (const core::DocId doc : psi_docs) {
-    ++metrics_.psi_notices;
-    metrics_.psi_entries_erased += pc.cache->EraseByUrl(doc);
-  }
-}
-
-http::CacheEntry Engine::BuildEntry(const net::DocReply& reply,
-                                    core::SiteId owner,
-                                    Time trace_time) const {
-  http::CacheEntry entry;
-  entry.doc = reply.doc;
-  entry.site = owner;
-  entry.size_bytes = reply.body_bytes;
-  entry.last_modified = reply.last_modified;
-  entry.version = reply.version;
-  entry.fetched_at = trace_time;
-  const core::consistency::InsertDecision decision =
-      policy_->OnMissReply(MetaOf(reply), trace_time);
-  entry.ttl_expires = decision.ttl_expires;
-  entry.lease_expires = decision.lease_expires;
-  return entry;
-}
-
 void Engine::DeliverReply(int client_index, std::uint64_t seq,
                           const net::DocReply& reply, core::SiteId owner,
-                          Time trace_time) {
+                          Time trace_time,
+                          const std::vector<core::PcvVerdict>& verdicts,
+                          const std::vector<core::DocId>& psi_docs) {
   PseudoClient& pc = clients_[client_index];
+  // The piggybacked freshness information applies even to a reply whose
+  // request timed out.
+  const core::consistency::PiggybackApplied applied =
+      core::consistency::ApplyPiggyback(*policy_, *pc.cache, verdicts,
+                                        psi_docs, trace_time);
+  metrics_.pcv_invalidated += applied.pcv_invalidated;
+  metrics_.psi_notices += psi_docs.size();
+  metrics_.psi_entries_erased += applied.psi_erased;
   if (pc.outstanding != seq) return;  // timed out; late reply dropped
   pc.outstanding = 0;
 
-  if (reply.type == net::MessageType::kReply200) {
-    obs::Emit(
-        sink_,
-        {.type = obs::EventType::kRequestServed,
-         .at = sim_.now(),
-         .trace_time = trace_time,
-         .url = ids_.DocName(reply.doc),
-         .site = ids_.SiteName(owner),
-         .detail = static_cast<std::int64_t>(obs::ServeKind::kTransfer)});
-    pc.cache->Insert(BuildEntry(reply, owner, trace_time), trace_time);
-  } else {
-    // 304: the cached copy is certified fresh as of this validation.
-    ++metrics_.validated_hits;
-    obs::Emit(
-        sink_,
-        {.type = obs::EventType::kRequestServed,
-         .at = sim_.now(),
-         .trace_time = trace_time,
-         .url = ids_.DocName(reply.doc),
-         .site = ids_.SiteName(owner),
-         .detail = static_cast<std::int64_t>(obs::ServeKind::kValidated)});
-    http::CacheEntry* entry = pc.cache->Peek(owner, reply.doc);
-    if (entry != nullptr) {
-      const core::consistency::ValidateDecision decision =
-          policy_->OnValidateReply(MetaOf(reply), trace_time);
-      if (decision.clear_questionable) entry->questionable = false;
-      if (decision.set_ttl) {
-        pc.cache->SetTtlExpiry(*entry, decision.ttl_expires);
-      }
-      if (decision.set_lease) entry->lease_expires = decision.lease_expires;
-    }
-  }
+  const bool transfer = reply.type == net::MessageType::kReply200;
+  if (!transfer) ++metrics_.validated_hits;
+  obs::Emit(sink_, {.type = obs::EventType::kRequestServed,
+                    .at = sim_.now(),
+                    .trace_time = trace_time,
+                    .url = ids_.DocName(reply.doc),
+                    .site = ids_.SiteName(owner),
+                    .detail = static_cast<std::int64_t>(
+                        transfer ? obs::ServeKind::kTransfer
+                                 : obs::ServeKind::kValidated)});
+  core::consistency::ApplyReply(*policy_, *pc.cache, reply, owner,
+                                trace_time);
   FinishRequest(pc, sim_.now() - pc.request_start);
 }
 
 }  // namespace detail
 
 ReplayMetrics RunReplay(const ReplayConfig& config) {
-  if (config.trace == nullptr && config.scenario != nullptr) {
-    // Synthetic input: generate the workload locally. Each farm worker
-    // running this path produces the identical workload (Generate is a pure
-    // function of the scenario), which is what makes scenario replays
-    // worker-count invariant without sharing a trace across threads.
-    const synth::SynthWorkload workload = synth::Generate(*config.scenario);
-    ReplayConfig local = config;
-    local.trace = &workload.trace;
-    local.scenario = nullptr;
-    if (local.explicit_modifications.empty()) {
-      // The scenario's write stream is the whole modification schedule —
-      // even when it is empty (a read-only scenario must not fall back to
-      // the mean-lifetime modifier process).
-      local.explicit_modifications = workload.writes;
-      local.suppress_generated_modifications = true;
-    }
-    detail::Engine engine(local);
-    return engine.Run();
-  }
   detail::Engine engine(config);
   return engine.Run();
 }

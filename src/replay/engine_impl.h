@@ -5,8 +5,10 @@
 //
 // All protocol policy decisions (serve-local vs validate, TTL/lease state
 // for new and revalidated entries, write fan-out) are delegated to the
-// core::consistency kernel; this class only executes the returned
-// decisions against the simulated caches and network.
+// core::consistency kernel. A request's proxy and server halves run the
+// protocol steps the live stack runs too (core/consistency/steps.h); this
+// class moves their messages over the simulated network and keeps the
+// metrics.
 //
 // Every layer keys on the run's one core::IdSpace, seeded from the trace in
 // Setup (DESIGN.md §16); names are looked up only for events and logs.
@@ -21,13 +23,13 @@
 #include <vector>
 
 #include "core/consistency/policy.h"
+#include "core/consistency/steps.h"
 #include "core/delivery.h"
 #include "core/outbox.h"
 #include "core/sharded_accelerator.h"
 #include "fault/clock.h"
 #include "core/piggyback.h"
 #include "http/document_store.h"
-#include "http/origin.h"
 #include "http/proxy_cache.h"
 #include "net/message.h"
 #include "obs/trace_sink.h"
@@ -101,18 +103,6 @@ class Engine {
   }
   bool InvalidationMode() const { return Traits().invalidation_callbacks; }
 
-  static core::consistency::EntryMeta MetaOf(const http::CacheEntry& entry) {
-    return {.last_modified = entry.last_modified,
-            .fetched_at = entry.fetched_at,
-            .ttl_expires = entry.ttl_expires,
-            .lease_expires = entry.lease_expires,
-            .questionable = entry.questionable};
-  }
-  static core::consistency::ReplyMeta MetaOf(const net::DocReply& reply) {
-    return {.last_modified = reply.last_modified,
-            .lease_until = reply.lease_until};
-  }
-
   // --- setup (engine.cc) -----------------------------------------------------
   void Setup();
 
@@ -125,8 +115,8 @@ class Engine {
   void IssueNext(PseudoClient& pc);
   void FinishRequest(PseudoClient& pc, Time latency);
   void LocalServe(PseudoClient& pc, http::CacheEntry& entry, Time trace_time);
-  void SendToServer(PseudoClient& pc, const net::DocRequest& request,
-                    Time trace_time, bool lease_renewal);
+  void SendToServer(PseudoClient& pc, core::consistency::ProxyRequest step,
+                    Time trace_time);
   void ServerHandle(const net::DocRequest& request, int client_index,
                     std::uint64_t seq, Time trace_time);
   // Sends `reply` from `from` to the pseudo-client after the sender is
@@ -137,13 +127,13 @@ class Engine {
                      Time trace_time,
                      std::vector<core::PcvVerdict> verdicts = {},
                      std::vector<core::DocId> psi_docs = {});
+  // Applies the reply's piggybacked PCV verdicts and PSI notices, then (if
+  // the request has not timed out) the reply itself.
   void DeliverReply(int client_index, std::uint64_t seq,
                     const net::DocReply& reply, core::SiteId owner,
-                    Time trace_time);
-  void ApplyPiggyback(int client_index,
-                      const std::vector<core::PcvVerdict>& verdicts,
-                      const std::vector<core::DocId>& psi_docs,
-                      Time trace_time);
+                    Time trace_time,
+                    const std::vector<core::PcvVerdict>& verdicts,
+                    const std::vector<core::DocId>& psi_docs);
 
   // --- hierarchy: parent proxy (engine_hierarchy.cc) ---------------------------
   void ParentHandle(const net::DocRequest& request, int client_index,
@@ -245,8 +235,6 @@ class Engine {
   }
   void CheckStaleness(const PseudoClient& pc, const http::CacheEntry& entry,
                       Time trace_time);
-  http::CacheEntry BuildEntry(const net::DocReply& reply, core::SiteId owner,
-                              Time trace_time) const;
 
   const ReplayConfig& config_;
   const trace::Trace& trace_;
@@ -266,7 +254,6 @@ class Engine {
   std::vector<char> drain_scheduled_;
   core::ShardedAccelerator accel_;
   std::unique_ptr<const core::consistency::ConsistencyPolicy> policy_;
-  std::unique_ptr<http::OriginServer> origin_;
 
   std::vector<PseudoClient> clients_;
   // Indexed by site id: the pseudo-client hosting that site's cache

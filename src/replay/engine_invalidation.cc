@@ -431,7 +431,7 @@ void Engine::CompleteWrite(core::DocId doc) {
 }
 
 void Engine::ServerRecover(Time trace_time) {
-  std::vector<net::Invalidation> notices;
+  std::vector<net::DocInvalidation> notices;
   if (accel_.journal_enabled()) {
     // Write-ahead journal survives the crash: rebuild the site lists from
     // it and send *targeted* invalidations only for documents that changed
@@ -455,22 +455,11 @@ void Engine::ServerRecover(Time trace_time) {
   // Recovery notices always go one per site (fault semantics are untouched
   // by batching and multicast): on the server CPU when fan-out blocks, else
   // a targeted invalidation on its URL's shard sender and INVSRV broadcasts
-  // on shard 0. Recovery speaks names (it replays the journal); its notices
-  // resolve to ids here.
-  for (const net::Invalidation& notice : notices) {
-    net::DocInvalidation by_id;
-    by_id.type = notice.type;
-    if (notice.type == net::MessageType::kInvalidateUrl) {
-      ++metrics_.recovery_invalidations_sent;
-      by_id.doc = ids_.docs.Find(notice.url);
-    } else {
-      ++metrics_.invsrv_sent;
-      by_id.server = accel_.server_name();
-    }
-    by_id.site = ids_.sites.Find(notice.client_id);
-    by_id.lease_until = notice.lease_until;
-    by_id.recovery = true;
-    metrics_.message_bytes += net::WireSize(by_id, ids_);
+  // on shard 0.
+  for (const net::DocInvalidation& notice : notices) {
+    const bool targeted = notice.type == net::MessageType::kInvalidateUrl;
+    ++(targeted ? metrics_.recovery_invalidations_sent : metrics_.invsrv_sent);
+    metrics_.message_bytes += net::WireSize(notice, ids_);
     sim::FifoStation* sender = &server_cpu_;
     switch (config_.fan_out) {
       case FanOut::kSerialized:
@@ -478,14 +467,12 @@ void Engine::ServerRecover(Time trace_time) {
         break;
       case FanOut::kDecoupled:
       case FanOut::kBatched:
-        sender = inval_senders_[notice.type == net::MessageType::kInvalidateUrl
-                                    ? accel_.ShardOf(by_id.doc)
-                                    : 0]
-                     .get();
+        sender =
+            inval_senders_[targeted ? accel_.ShardOf(notice.doc) : 0].get();
         break;
     }
     sender->Enqueue(config_.server_costs.invalidation_send_cpu,
-                    [this, by_id] { SendInvalidation(by_id, 0); });
+                    [this, notice] { SendInvalidation(notice, 0); });
   }
 }
 

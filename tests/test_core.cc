@@ -456,8 +456,8 @@ TEST_F(AcceleratorTest, RecoverNotifiesEverySiteEverSeen) {
   ASSERT_EQ(notices.size(), 2u);
   EXPECT_EQ(notices[0].type, net::MessageType::kInvalidateServer);
   EXPECT_EQ(notices[0].server, "srv");
-  EXPECT_EQ(notices[0].client_id, "c1");
-  EXPECT_EQ(notices[1].client_id, "c2");
+  EXPECT_EQ(notices[0].site, Site("c1"));
+  EXPECT_EQ(notices[1].site, Site("c2"));
 }
 
 TEST_F(AcceleratorTest, ModificationBeforeFirstRequestThenRequestThenTouch) {

@@ -7,7 +7,8 @@
 // pair, for every protocol × lease mode. Both runs record their structured
 // trace events; after normalizing away the things that legitimately differ
 // (clock values, the live stack's "@port" client-id suffix, timing-only
-// event types), the two decision traces must be event-for-event identical.
+// event types), the two decision traces must be event-for-event identical,
+// and the counters both stacks expose under shared meanings must agree.
 //
 // The script pins one step per replay lockstep interval so the global event
 // order in the simulator matches the sequential order of the live script,
@@ -202,6 +203,35 @@ core::LeaseConfig LeaseFor(LeaseMode mode) {
   return lease;
 }
 
+// Counters both stacks expose under shared meanings: INVALIDATEs applied at
+// the proxy, PCV copies dropped on an invalid verdict, copies purged by PSI
+// notices, and replies the server sent.
+struct Counters {
+  std::uint64_t invalidations_delivered = 0;
+  std::uint64_t pcv_invalidated = 0;
+  std::uint64_t psi_entries_erased = 0;
+  std::uint64_t replies = 0;
+
+  bool operator==(const Counters& other) const {
+    return invalidations_delivered == other.invalidations_delivered &&
+           pcv_invalidated == other.pcv_invalidated &&
+           psi_entries_erased == other.psi_entries_erased &&
+           replies == other.replies;
+  }
+};
+
+std::ostream& operator<<(std::ostream& out, const Counters& counters) {
+  return out << "invalidations_delivered=" << counters.invalidations_delivered
+             << " pcv_invalidated=" << counters.pcv_invalidated
+             << " psi_entries_erased=" << counters.psi_entries_erased
+             << " replies=" << counters.replies;
+}
+
+struct StackRun {
+  std::vector<NormEvent> events;
+  Counters counters;
+};
+
 // --- live run ----------------------------------------------------------------
 
 template <typename Predicate>
@@ -215,7 +245,7 @@ bool WaitFor(Predicate predicate,
   return predicate();
 }
 
-std::vector<NormEvent> RunLive(const Combo& combo) {
+StackRun RunLive(const Combo& combo) {
   const Protocol protocol = combo.protocol;
   RecordingSink sink;
 
@@ -257,12 +287,15 @@ std::vector<NormEvent> RunLive(const Combo& combo) {
 
   proxy.Stop();
   server.Stop();
-  return sink.Take();
+  return StackRun{sink.Take(),
+                  Counters{proxy.invalidations_received(),
+                           proxy.pcv_invalidated(), proxy.psi_purged(),
+                           server.requests_served()}};
 }
 
 // --- replay run --------------------------------------------------------------
 
-std::vector<NormEvent> RunReplayScript(const Combo& combo) {
+StackRun RunReplayScript(const Combo& combo) {
   const Protocol protocol = combo.protocol;
   // One step per lockstep interval: the coordinator barrier makes the
   // simulator's global event order equal the script order.
@@ -303,8 +336,11 @@ std::vector<NormEvent> RunReplayScript(const Combo& combo) {
   config.lockstep_interval = kStep;
   config.fixed_initial_age = 0;  // documents born at t=0, as in live
   config.trace_sink = &sink;
-  replay::RunReplay(config);
-  return sink.Take();
+  const replay::ReplayMetrics metrics = replay::RunReplay(config);
+  return StackRun{sink.Take(),
+                  Counters{metrics.invalidations_delivered,
+                           metrics.pcv_invalidated, metrics.psi_entries_erased,
+                           metrics.replies_200 + metrics.replies_304}};
 }
 
 // --- the differential assertion ---------------------------------------------
@@ -327,8 +363,10 @@ std::string ComboName(const ::testing::TestParamInfo<Combo>& info) {
 class DifferentialTest : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(DifferentialTest, ReplayAndLiveStacksDecideIdentically) {
-  const std::vector<NormEvent> replayed = RunReplayScript(GetParam());
-  const std::vector<NormEvent> lived = RunLive(GetParam());
+  const StackRun replay_run = RunReplayScript(GetParam());
+  const StackRun live_run = RunLive(GetParam());
+  const std::vector<NormEvent>& replayed = replay_run.events;
+  const std::vector<NormEvent>& lived = live_run.events;
 
   // The script exercises real traffic: an empty trace means the harness is
   // broken, not that the stacks agree.
@@ -339,6 +377,7 @@ TEST_P(DifferentialTest, ReplayAndLiveStacksDecideIdentically) {
     ASSERT_EQ(replayed[i], lived[i]) << "first divergence at event " << i;
   }
   ASSERT_EQ(replayed.size(), lived.size());
+  EXPECT_EQ(replay_run.counters, live_run.counters);
 }
 
 constexpr Protocol kAllProtocols[] = {

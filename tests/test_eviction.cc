@@ -14,6 +14,7 @@
 #include "http/eviction/expiry_heap.h"
 #include "http/eviction/policy.h"
 #include "http/proxy_cache.h"
+#include "named_cache.h"
 #include "obs/event.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
@@ -129,7 +130,7 @@ TEST(ProxyCacheTtlHeapTest, RenewChurnKeepsHeapBounded) {
   }
   for (int round = 0; round < 3000; ++round) {
     for (int i = 0; i < 10; ++i) {
-      CacheEntry* entry = cache.Peek(ComposeCacheKey(
+      CacheEntry* entry = PeekKey(cache, ComposeCacheKey(
           "/doc" + std::to_string(i), "c"));
       ASSERT_NE(entry, nullptr);
       cache.SetTtlExpiry(*entry, 1000 + round);
@@ -151,8 +152,8 @@ TEST(GdsPolicyTest, EvictsLowestCreditNotLruTail) {
   cache.Insert(MakeEntry("/big", 5000, kNeverExpires), 1);
   // /small is now the LRU tail, but H_small = 1/100 > H_big = 1/5000.
   cache.Insert(MakeEntry("/new", 5000, kNeverExpires), 2);
-  EXPECT_NE(cache.Peek(ComposeCacheKey("/small", "c")), nullptr);
-  EXPECT_EQ(cache.Peek(ComposeCacheKey("/big", "c")), nullptr);
+  EXPECT_NE(PeekKey(cache, ComposeCacheKey("/small", "c")), nullptr);
+  EXPECT_EQ(PeekKey(cache, ComposeCacheKey("/big", "c")), nullptr);
 }
 
 TEST(GdsPolicyTest, HitRecreditsAboveInflation) {
@@ -164,8 +165,8 @@ TEST(GdsPolicyTest, HitRecreditsAboveInflation) {
   ASSERT_NE(cache.Lookup(ComposeCacheKey("/a", "c")), nullptr);  // re-credit
   // Equal sizes, so without the hit /a (older order) would be the victim.
   cache.Insert(MakeEntry("/d", 4000, kNeverExpires), 2);
-  EXPECT_NE(cache.Peek(ComposeCacheKey("/a", "c")), nullptr);
-  EXPECT_EQ(cache.Peek(ComposeCacheKey("/b", "c")), nullptr);
+  EXPECT_NE(PeekKey(cache, ComposeCacheKey("/a", "c")), nullptr);
+  EXPECT_EQ(PeekKey(cache, ComposeCacheKey("/b", "c")), nullptr);
 }
 
 TEST(GdsPolicyTest, EqualCreditTieBreaksToOlderOrder) {
@@ -177,8 +178,8 @@ TEST(GdsPolicyTest, EqualCreditTieBreaksToOlderOrder) {
   cache.Insert(MakeEntry("/second", 4000, kNeverExpires), 1);
   cache.Insert(MakeEntry("/third", 4000, kNeverExpires), 2);
   cache.Insert(MakeEntry("/fourth", 4000, kNeverExpires), 3);
-  EXPECT_EQ(cache.Peek(ComposeCacheKey("/first", "c")), nullptr);
-  EXPECT_NE(cache.Peek(ComposeCacheKey("/second", "c")), nullptr);
+  EXPECT_EQ(PeekKey(cache, ComposeCacheKey("/first", "c")), nullptr);
+  EXPECT_NE(PeekKey(cache, ComposeCacheKey("/second", "c")), nullptr);
 }
 
 TEST(ExpiredFirstPolicyTest, TieOnExpiryBreaksToOlderStamp) {
@@ -190,8 +191,8 @@ TEST(ExpiredFirstPolicyTest, TieOnExpiryBreaksToOlderStamp) {
   // Touch /x so LRU would evict /y; the expired rule ignores recency.
   ASSERT_NE(cache.Lookup(ComposeCacheKey("/x", "c")), nullptr);
   cache.Insert(MakeEntry("/z", 400, kNeverExpires), 100);
-  EXPECT_EQ(cache.Peek(ComposeCacheKey("/x", "c")), nullptr);
-  EXPECT_NE(cache.Peek(ComposeCacheKey("/y", "c")), nullptr);
+  EXPECT_EQ(PeekKey(cache, ComposeCacheKey("/x", "c")), nullptr);
+  EXPECT_NE(PeekKey(cache, ComposeCacheKey("/y", "c")), nullptr);
 }
 
 // --- oversize rejections ----------------------------------------------------
@@ -236,7 +237,7 @@ TEST(TieredCacheTest, PressureDemotesInsteadOfEvicting) {
   EXPECT_EQ(cache.stats().evictions, 0u);
   EXPECT_EQ(cache.tier1_bytes_used(), 400u);
   EXPECT_EQ(cache.tier2_bytes_used(), 400u);
-  EXPECT_NE(cache.Peek(ComposeCacheKey("/a", "c")), nullptr);
+  EXPECT_NE(PeekKey(cache, ComposeCacheKey("/a", "c")), nullptr);
 }
 
 TEST(TieredCacheTest, PromotesAfterConfiguredHits) {
@@ -263,8 +264,8 @@ TEST(TieredCacheTest, Tier2OverflowEvictsItsOwnTail) {
   cache.Insert(MakeEntry("/c", 400, kNeverExpires), 2);  // demotes /b: full
   EXPECT_EQ(cache.stats().tier2_evictions, 1u);
   EXPECT_EQ(sink.CountDetail(3), 1u);
-  EXPECT_EQ(cache.Peek(ComposeCacheKey("/a", "c")), nullptr);
-  EXPECT_NE(cache.Peek(ComposeCacheKey("/b", "c")), nullptr);
+  EXPECT_EQ(PeekKey(cache, ComposeCacheKey("/a", "c")), nullptr);
+  EXPECT_NE(PeekKey(cache, ComposeCacheKey("/b", "c")), nullptr);
 }
 
 TEST(TieredCacheTest, ExpiredRuleVictimsAreEvictedNotDemoted) {
@@ -278,7 +279,7 @@ TEST(TieredCacheTest, ExpiredRuleVictimsAreEvictedNotDemoted) {
   EXPECT_EQ(cache.stats().expired_evictions, 1u);
   EXPECT_EQ(cache.stats().tier2_demotions, 0u);
   EXPECT_EQ(sink.CountDetail(1), 1u);
-  EXPECT_EQ(cache.Peek(ComposeCacheKey("/stale", "c")), nullptr);
+  EXPECT_EQ(PeekKey(cache, ComposeCacheKey("/stale", "c")), nullptr);
 }
 
 TEST(TieredCacheTest, Tier2CleanupReclaimsExpiredFromColdEnd) {
@@ -291,7 +292,7 @@ TEST(TieredCacheTest, Tier2CleanupReclaimsExpiredFromColdEnd) {
   cache.Insert(MakeEntry("/c", 100, kNeverExpires), 200);  // cleanup tick
   EXPECT_EQ(cache.stats().tier2_expired_cleaned, 1u);
   EXPECT_EQ(sink.CountDetail(4), 1u);
-  EXPECT_EQ(cache.Peek(ComposeCacheKey("/a", "c")), nullptr);
+  EXPECT_EQ(PeekKey(cache, ComposeCacheKey("/a", "c")), nullptr);
 }
 
 TEST(TieredCacheTest, OversizeForTier1LandsInTier2) {
@@ -326,8 +327,8 @@ TEST(TieredCacheTest, ConsistencySweepsSeeBothTiers) {
 
   // MarkAllQuestionable covers both tiers.
   cache.MarkAllQuestionable();
-  EXPECT_TRUE(cache.Peek(ComposeCacheKey("/doc", "alice"))->questionable);
-  EXPECT_TRUE(cache.Peek(ComposeCacheKey("/doc", "bob"))->questionable);
+  EXPECT_TRUE(PeekKey(cache, ComposeCacheKey("/doc", "alice"))->questionable);
+  EXPECT_TRUE(PeekKey(cache, ComposeCacheKey("/doc", "bob"))->questionable);
 
   // EraseByUrl removes every owner's copy regardless of tier.
   EXPECT_EQ(cache.EraseByUrl("/doc"), 2u);

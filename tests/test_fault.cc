@@ -450,12 +450,13 @@ TEST(AcceleratorJournal, IntactJournalRestoresExactlyAndTargetsChangedDocs) {
   // Targeted recovery: only /a.html's registered sites hear about it, as
   // kInvalidateUrl with the recovery flag — never a server-wide broadcast.
   ASSERT_EQ(outcome.invalidations.size(), 2u);
+  const core::IdSpace& ids = fx.docs.ids();
   std::set<std::string> notified;
-  for (const net::Invalidation& inv : outcome.invalidations) {
+  for (const net::DocInvalidation& inv : outcome.invalidations) {
     EXPECT_EQ(inv.type, net::MessageType::kInvalidateUrl);
-    EXPECT_EQ(inv.url, "/a.html");
+    EXPECT_EQ(ids.DocName(inv.doc), "/a.html");
     EXPECT_TRUE(inv.recovery);
-    notified.insert(inv.client_id);
+    notified.insert(ids.SiteName(inv.site));
   }
   EXPECT_EQ(notified, (std::set<std::string>{"site1", "site2"}));
 
@@ -508,7 +509,7 @@ TEST(AcceleratorJournal, DamagedJournalRestoresSupersetAndBroadcasts) {
   // Damage means history is unknowable: the blanket INVSRV broadcast goes
   // to every site ever seen, each flagged as recovery traffic.
   ASSERT_EQ(outcome.invalidations.size(), 2u);  // site1, site2
-  for (const net::Invalidation& inv : outcome.invalidations) {
+  for (const net::DocInvalidation& inv : outcome.invalidations) {
     EXPECT_EQ(inv.type, net::MessageType::kInvalidateServer);
     EXPECT_EQ(inv.server, "origin");
     EXPECT_TRUE(inv.recovery);

@@ -441,11 +441,12 @@ TEST(FaultScenarios, PerShardJournalRebuildRestoresExactUnionOfSiteLists) {
     lease.duration = kHour;
     core::ShardedAccelerator accel(docs, lease, shards);
     accel.EnableJournal(true);
+    core::IdSpace& ids = docs.ids();
     for (std::size_t i = 0; i < urls.size(); ++i) {
       for (int s = 0; s < 1 + static_cast<int>(i % 3); ++s) {
-        net::Request request;
-        request.url = urls[i];
-        request.client_id = "site-" + std::to_string(s);
+        net::DocRequest request;
+        request.doc = ids.docs.Find(urls[i]);
+        request.site = ids.sites.Intern("site-" + std::to_string(s));
         request.type = net::MessageType::kGet;
         accel.HandleRequest(request, kMinute);
       }
@@ -454,7 +455,7 @@ TEST(FaultScenarios, PerShardJournalRebuildRestoresExactUnionOfSiteLists) {
     // bumps) in the journal, so the rebuild is not a pure registration log.
     for (std::size_t i = 0; i < urls.size(); i += 6) {
       docs.Touch(urls[i], 2 * kMinute);
-      accel.HandleNotify(net::Notify{urls[i]}, 2 * kMinute);
+      accel.HandleNotify(ids.docs.Find(urls[i]), 2 * kMinute);
     }
     accel.Crash();
     const core::ShardedAccelerator::RecoveryOutcome outcome =

@@ -8,6 +8,7 @@
 #include "http/document_store.h"
 #include "http/origin.h"
 #include "http/proxy_cache.h"
+#include "named_cache.h"
 
 namespace webcc::http {
 namespace {
@@ -83,19 +84,19 @@ TEST(DocumentStore, NegativeInitialMtimeAllowed) {
 
 // --- OriginServer -----------------------------------------------------------------
 
-net::Request MakeGet(const std::string& url) {
-  net::Request request;
+// Requests name the document by its id in the store's space; a name the
+// store never held resolves to kNoInternId.
+net::DocRequest MakeGet(const DocumentStore& store, const std::string& url) {
+  net::DocRequest request;
   request.type = net::MessageType::kGet;
-  request.url = url;
-  request.client_id = "c";
+  request.doc = store.ids().docs.Find(url);
   return request;
 }
 
-net::Request MakeIms(const std::string& url, Time since) {
-  net::Request request;
+net::DocRequest MakeIms(const DocumentStore& store, const std::string& url,
+                        Time since) {
+  net::DocRequest request = MakeGet(store, url);
   request.type = net::MessageType::kIfModifiedSince;
-  request.url = url;
-  request.client_id = "c";
   request.if_modified_since = since;
   return request;
 }
@@ -104,7 +105,7 @@ TEST(OriginServer, GetReturns200WithBody) {
   DocumentStore store;
   store.Add("/a", 4096, 10);
   OriginServer origin(store);
-  const auto reply = origin.Handle(MakeGet("/a"), 100);
+  const auto reply = origin.Handle(MakeGet(store, "/a"), 100);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::MessageType::kReply200);
   EXPECT_EQ(reply->body_bytes, 4096u);
@@ -115,14 +116,14 @@ TEST(OriginServer, GetReturns200WithBody) {
 TEST(OriginServer, UnknownUrlIsNullopt) {
   DocumentStore store;
   OriginServer origin(store);
-  EXPECT_FALSE(origin.Handle(MakeGet("/missing"), 0).has_value());
+  EXPECT_FALSE(origin.Handle(MakeGet(store, "/missing"), 0).has_value());
 }
 
 TEST(OriginServer, ImsFreshReturns304) {
   DocumentStore store;
   store.Add("/a", 4096, 10);
   OriginServer origin(store);
-  const auto reply = origin.Handle(MakeIms("/a", 10), 100);
+  const auto reply = origin.Handle(MakeIms(store, "/a", 10), 100);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::MessageType::kReply304);
   EXPECT_EQ(reply->body_bytes, 0u);
@@ -133,7 +134,7 @@ TEST(OriginServer, ImsStaleReturns200) {
   store.Add("/a", 4096, 10);
   store.Touch("/a", 50);
   OriginServer origin(store);
-  const auto reply = origin.Handle(MakeIms("/a", 10), 100);
+  const auto reply = origin.Handle(MakeIms(store, "/a", 10), 100);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::MessageType::kReply200);
   EXPECT_EQ(reply->version, 2u);
@@ -145,7 +146,7 @@ TEST(OriginServer, ImsWithLaterTimestampStill304) {
   DocumentStore store;
   store.Add("/a", 100, 10);
   OriginServer origin(store);
-  const auto reply = origin.Handle(MakeIms("/a", 999), 1000);
+  const auto reply = origin.Handle(MakeIms(store, "/a", 999), 1000);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::MessageType::kReply304);
 }
@@ -154,7 +155,7 @@ TEST(OriginServer, LeaseLeftUnstamped) {
   DocumentStore store;
   store.Add("/a", 100, 0);
   OriginServer origin(store);
-  EXPECT_EQ(origin.Handle(MakeGet("/a"), 0)->lease_until, net::kNoLease);
+  EXPECT_EQ(origin.Handle(MakeGet(store, "/a"), 0)->lease_until, net::kNoLease);
 }
 
 // --- ProxyCache -------------------------------------------------------------------
@@ -220,8 +221,10 @@ TEST(ProxyCache, NamesBoundedByDistinctUrlsAndOwnersNotPairs) {
   EXPECT_EQ(cache.Lookup(ComposeCacheKey("/unknown", "stranger@1")), nullptr);
   EXPECT_LE(cache.ids().docs.size() + cache.ids().sites.size(), 200u);
   // The most recent pairs are resident; the first ones were evicted.
-  EXPECT_NE(cache.Peek(ComposeCacheKey("/doc/99", "client-99@4000")), nullptr);
-  EXPECT_EQ(cache.Peek(ComposeCacheKey("/doc/0", "client-0@4000")), nullptr);
+  EXPECT_NE(PeekKey(cache, ComposeCacheKey("/doc/99", "client-99@4000")),
+            nullptr);
+  EXPECT_EQ(PeekKey(cache, ComposeCacheKey("/doc/0", "client-0@4000")),
+            nullptr);
 }
 
 TEST(ProxyCache, InsertAndLookup) {
@@ -257,10 +260,10 @@ TEST(ProxyCache, EvictsLruWhenFull) {
   cache.Insert(MakeEntry("/c", 100), 0);
   cache.Lookup(Key("/a"));                      // touch /a: /b is now LRU
   cache.Insert(MakeEntry("/d", 100), 0);   // evicts /b
-  EXPECT_NE(cache.Peek(Key("/a")), nullptr);
-  EXPECT_EQ(cache.Peek(Key("/b")), nullptr);
-  EXPECT_NE(cache.Peek(Key("/c")), nullptr);
-  EXPECT_NE(cache.Peek(Key("/d")), nullptr);
+  EXPECT_NE(PeekKey(cache, Key("/a")), nullptr);
+  EXPECT_EQ(PeekKey(cache, Key("/b")), nullptr);
+  EXPECT_NE(PeekKey(cache, Key("/c")), nullptr);
+  EXPECT_NE(PeekKey(cache, Key("/d")), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
@@ -268,10 +271,10 @@ TEST(ProxyCache, PeekDoesNotPromote) {
   ProxyCache cache(200, ReplacementPolicy::kLru);
   cache.Insert(MakeEntry("/a", 100), 0);
   cache.Insert(MakeEntry("/b", 100), 0);
-  cache.Peek(Key("/a"));                       // must NOT promote /a
+  PeekKey(cache, Key("/a"));                       // must NOT promote /a
   cache.Insert(MakeEntry("/c", 100), 0);  // evicts /a (still LRU)
-  EXPECT_EQ(cache.Peek(Key("/a")), nullptr);
-  EXPECT_NE(cache.Peek(Key("/b")), nullptr);
+  EXPECT_EQ(PeekKey(cache, Key("/a")), nullptr);
+  EXPECT_NE(PeekKey(cache, Key("/b")), nullptr);
 }
 
 TEST(ProxyCache, ObjectLargerThanCapacityNotCached) {
@@ -289,9 +292,9 @@ TEST(ProxyCache, ExpiredFirstEvictsExpiredBeforeLru) {
   cache.Lookup(Key("/expired"));  // most recently used, but expired
   // At now=500 the expired entry must go first despite being MRU.
   cache.Insert(MakeEntry("/new", 100), 500);
-  EXPECT_EQ(cache.Peek(Key("/expired")), nullptr);
-  EXPECT_NE(cache.Peek(Key("/fresh")), nullptr);
-  EXPECT_NE(cache.Peek(Key("/strong")), nullptr);
+  EXPECT_EQ(PeekKey(cache, Key("/expired")), nullptr);
+  EXPECT_NE(PeekKey(cache, Key("/fresh")), nullptr);
+  EXPECT_NE(PeekKey(cache, Key("/strong")), nullptr);
   EXPECT_EQ(cache.stats().expired_evictions, 1u);
 }
 
@@ -300,7 +303,7 @@ TEST(ProxyCache, ExpiredFirstFallsBackToLruWhenNoneExpired) {
   cache.Insert(MakeEntry("/a", 100, /*ttl=*/100000), 0);
   cache.Insert(MakeEntry("/b", 100, /*ttl=*/100000), 0);
   cache.Insert(MakeEntry("/c", 100, /*ttl=*/100000), 50);
-  EXPECT_EQ(cache.Peek(Key("/a")), nullptr);  // plain LRU victim
+  EXPECT_EQ(PeekKey(cache, Key("/a")), nullptr);  // plain LRU victim
   EXPECT_EQ(cache.stats().expired_evictions, 0u);
 }
 
@@ -321,8 +324,8 @@ TEST(ProxyCache, SetTtlExpiryReindexes) {
 TEST(ProxyCache, EraseRemoves) {
   ProxyCache cache(1000, ReplacementPolicy::kLru);
   cache.Insert(MakeEntry("/a", 100), 0);
-  EXPECT_TRUE(cache.Erase(Key("/a")));
-  EXPECT_FALSE(cache.Erase(Key("/a")));
+  EXPECT_TRUE(EraseKey(cache, Key("/a")));
+  EXPECT_FALSE(EraseKey(cache, Key("/a")));
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.bytes_used(), 0u);
   EXPECT_EQ(cache.stats().erased, 1u);
@@ -333,8 +336,8 @@ TEST(ProxyCache, MarkAllQuestionable) {
   cache.Insert(MakeEntry("/a", 100), 0);
   cache.Insert(MakeEntry("/b", 100), 0);
   cache.MarkAllQuestionable();
-  EXPECT_TRUE(cache.Peek(Key("/a"))->questionable);
-  EXPECT_TRUE(cache.Peek(Key("/b"))->questionable);
+  EXPECT_TRUE(PeekKey(cache, Key("/a"))->questionable);
+  EXPECT_TRUE(PeekKey(cache, Key("/b"))->questionable);
 }
 
 TEST(ProxyCache, MarkQuestionableWhereFilters) {
@@ -344,14 +347,14 @@ TEST(ProxyCache, MarkQuestionableWhereFilters) {
   const std::size_t marked = cache.MarkQuestionableWhere(
       [](const CacheEntry& entry) { return entry.owner == "alice"; });
   EXPECT_EQ(marked, 1u);
-  EXPECT_TRUE(cache.Peek(Key("/a", "alice"))->questionable);
-  EXPECT_FALSE(cache.Peek(Key("/a", "bob"))->questionable);
+  EXPECT_TRUE(PeekKey(cache, Key("/a", "alice"))->questionable);
+  EXPECT_FALSE(PeekKey(cache, Key("/a", "bob"))->questionable);
 }
 
 TEST(ProxyCache, ZeroSizeEntriesAllowed) {
   ProxyCache cache(100, ReplacementPolicy::kLru);
   cache.Insert(MakeEntry("/empty", 0), 0);
-  EXPECT_NE(cache.Peek(Key("/empty")), nullptr);
+  EXPECT_NE(PeekKey(cache, Key("/empty")), nullptr);
   EXPECT_EQ(cache.bytes_used(), 0u);
 }
 

@@ -11,6 +11,7 @@
 #include "core/piggyback.h"
 #include "http/cache_key.h"
 #include "http/proxy_cache.h"
+#include "named_cache.h"
 #include "replay/engine.h"
 #include "trace/workload.h"
 
@@ -152,7 +153,7 @@ TEST(ProxyCachePiggyback, EraseByUrlRemovesAllOwners) {
   EXPECT_EQ(cache.EraseByUrl("/a"), 2u);
   EXPECT_EQ(cache.entry_count(), 1u);
   EXPECT_EQ(cache.EraseByUrl("/a"), 0u);
-  EXPECT_NE(cache.Peek(http::ComposeCacheKey("/b", "alice")), nullptr);
+  EXPECT_NE(PeekKey(cache, http::ComposeCacheKey("/b", "alice")), nullptr);
 }
 
 TEST(ProxyCachePiggyback, EraseByUrlAfterReplacement) {
@@ -178,7 +179,7 @@ TEST(ProxyCachePiggyback, TakeExpiredConsumesRecords) {
   EXPECT_EQ(cache.TakeExpired(500, 10).size(), 1u);
   // Consumed: a second call finds nothing until re-armed.
   EXPECT_TRUE(cache.TakeExpired(500, 10).empty());
-  http::CacheEntry* entry = cache.Peek(http::ComposeCacheKey("/a", "c"));
+  http::CacheEntry* entry = PeekKey(cache, http::ComposeCacheKey("/a", "c"));
   ASSERT_NE(entry, nullptr);
   cache.SetTtlExpiry(*entry, 20);
   EXPECT_EQ(cache.TakeExpired(500, 10).size(), 1u);
@@ -197,7 +198,7 @@ TEST(ProxyCachePiggyback, TakeExpiredSkipsErasedEntries) {
   http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
   cache.Insert(Entry("/a", "c", 10), 0);
   cache.Insert(Entry("/b", "c", 20), 0);
-  cache.Erase(http::ComposeCacheKey("/a", "c"));
+  EraseKey(cache, http::ComposeCacheKey("/a", "c"));
   const auto expired = cache.TakeExpired(500, 10);
   ASSERT_EQ(expired.size(), 1u);
   EXPECT_EQ(expired[0]->url, "/b");

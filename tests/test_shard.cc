@@ -211,11 +211,28 @@ struct FacadeRun {
   std::vector<core::InvalidationTable::Snapshot> entries;
 };
 
-void AppendInvalidations(const std::vector<net::Invalidation>& invs,
+// A GET from `site` for `url`, named by ids in `docs`' space (the site is
+// interned on first sight, as the live server does when it decodes one).
+net::DocRequest GetById(const http::DocumentStore& docs, const std::string& url,
+                        const std::string& site) {
+  net::DocRequest request;
+  request.type = net::MessageType::kGet;
+  request.doc = docs.ids().docs.Find(url);
+  request.site = docs.ids().sites.Intern(site);
+  return request;
+}
+
+core::DocId DocOf(const http::DocumentStore& docs, const std::string& url) {
+  return docs.ids().docs.Find(url);
+}
+
+void AppendInvalidations(const std::vector<net::DocInvalidation>& invs,
+                         const core::IdSpace& ids,
                          std::vector<std::string>& out) {
-  for (const net::Invalidation& inv : invs) {
-    out.push_back(std::to_string(static_cast<int>(inv.type)) + " " + inv.url +
-                  " " + inv.client_id);
+  for (const net::DocInvalidation& inv : invs) {
+    const net::Invalidation wire = net::ToWire(inv, ids);
+    out.push_back(std::to_string(static_cast<int>(wire.type)) + " " +
+                  wire.url + " " + wire.client_id);
   }
 }
 
@@ -238,19 +255,17 @@ FacadeRun DriveFacade(std::uint32_t shards) {
   // Register three sites over every URL, staggered so lease expiries differ.
   for (const char* site : {"site-a", "site-b", "site-c"}) {
     for (const std::string& url : urls) {
-      net::Request request;
-      request.url = url;
-      request.client_id = site;
-      request.type = net::MessageType::kGet;
-      EXPECT_TRUE(accel.HandleRequest(request, now).has_value()) << url;
+      EXPECT_TRUE(
+          accel.HandleRequest(GetById(docs, url, site), now).has_value())
+          << url;
     }
     now += kMinute;
   }
   // Touch a quarter of the documents: fan-out.
   for (std::size_t i = 0; i < urls.size(); i += 4) {
     docs.Touch(urls[i], now);
-    AppendInvalidations(accel.HandleNotify(net::Notify{urls[i]}, now),
-                        run.invalidations);
+    AppendInvalidations(accel.HandleNotify(DocOf(docs, urls[i]), now),
+                        docs.ids(), run.invalidations);
   }
   // Let the first registration wave's leases lapse and prune.
   now = kMinute + lease.duration + kMinute;
@@ -260,7 +275,7 @@ FacadeRun DriveFacade(std::uint32_t shards) {
   accel.Crash();
   ShardedAccelerator::RecoveryOutcome outcome = accel.RecoverFromJournal(now);
   EXPECT_FALSE(outcome.journal_damaged);
-  AppendInvalidations(outcome.invalidations, run.invalidations);
+  AppendInvalidations(outcome.invalidations, docs.ids(), run.invalidations);
 
   run.entries = accel.SnapshotEntries();
   run.events = sink.TakeText();
@@ -294,17 +309,14 @@ TEST(ShardedAccelerator, RecoverBroadcastsUnionOfShardRegistries) {
   const auto drive = [&urls, &docs](std::uint32_t shards) {
     ShardedAccelerator accel(docs, core::LeaseConfig{}, shards);
     for (std::size_t i = 0; i < urls.size(); ++i) {
-      net::Request request;
-      request.url = urls[i];
-      request.client_id = "site-" + std::to_string(i % 5);
-      request.type = net::MessageType::kGet;
-      accel.HandleRequest(request, kMinute);
+      accel.HandleRequest(
+          GetById(docs, urls[i], "site-" + std::to_string(i % 5)), kMinute);
     }
     accel.Crash();
     std::vector<std::string> sites;
-    for (const net::Invalidation& inv : accel.Recover()) {
+    for (const net::DocInvalidation& inv : accel.Recover()) {
       EXPECT_EQ(inv.type, net::MessageType::kInvalidateServer);
-      sites.push_back(inv.client_id);
+      sites.push_back(docs.ids().SiteName(inv.site));
     }
     return sites;
   };
@@ -334,9 +346,12 @@ class SiteOrderSink final : public obs::TraceSink {
   obs::EventType type_;
 };
 
-std::vector<std::string> ClientsOf(const std::vector<net::Invalidation>& invs) {
+std::vector<std::string> ClientsOf(
+    const std::vector<net::DocInvalidation>& invs, const core::IdSpace& ids) {
   std::vector<std::string> sites;
-  for (const net::Invalidation& inv : invs) sites.push_back(inv.client_id);
+  for (const net::DocInvalidation& inv : invs) {
+    sites.push_back(ids.SiteName(inv.site));
+  }
   return sites;
 }
 
@@ -365,10 +380,8 @@ TEST(ShardedAccelerator, PublishedListsStayInNameOrderNotIdOrder) {
     accel.set_trace_sink(&expiries);
     for (const std::string& site : first_seen) {
       for (const std::string& url : urls) {
-        net::Request request;
-        request.url = url;
-        request.client_id = site;
-        ASSERT_TRUE(accel.HandleRequest(request, kMinute).has_value());
+        ASSERT_TRUE(
+            accel.HandleRequest(GetById(docs, url, site), kMinute).has_value());
       }
     }
 
@@ -386,7 +399,8 @@ TEST(ShardedAccelerator, PublishedListsStayInNameOrderNotIdOrder) {
 
     // Invalidation fan-out for one write: site-name order.
     docs.Touch(urls[0], 2 * kMinute);
-    EXPECT_EQ(ClientsOf(accel.HandleNotify(net::Notify{urls[0]}, 2 * kMinute)),
+    EXPECT_EQ(ClientsOf(accel.HandleNotify(DocOf(docs, urls[0]), 2 * kMinute),
+                        docs.ids()),
               by_name);
 
     // Lease-expiry emission from the (merged) prune: (url, site) order.
@@ -400,7 +414,7 @@ TEST(ShardedAccelerator, PublishedListsStayInNameOrderNotIdOrder) {
 
     // Recovery broadcast over the union of the shard registries.
     accel.Crash();
-    EXPECT_EQ(ClientsOf(accel.Recover()), by_name);
+    EXPECT_EQ(ClientsOf(accel.Recover(), docs.ids()), by_name);
   }
 }
 

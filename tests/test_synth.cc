@@ -72,9 +72,8 @@ TEST(SynthDeterminism, SeedChangesTheWorkload) {
   EXPECT_NE(digest_a, digest_b);
 }
 
-// Farm workers hand the scenario around by pointer and each regenerates the
-// workload locally; the merged JSONL trace and every metric must be
-// invariant in the worker count.
+// Farm workers share one generated workload read-only; the merged JSONL
+// trace and every metric must be invariant in the worker count.
 TEST(SynthDeterminism, WorkerCountInvariantThroughFarm) {
   ScenarioConfig scenario = BaseConfig();
   scenario.requests = 1500;
@@ -91,13 +90,16 @@ TEST(SynthDeterminism, WorkerCountInvariantThroughFarm) {
   const core::Protocol protocols[] = {core::Protocol::kAdaptiveTtl,
                                       core::Protocol::kInvalidation,
                                       core::Protocol::kPiggybackInvalidation};
+  const SynthWorkload workload = Generate(scenario);
   const auto run_with_workers = [&](unsigned workers) {
     obs::BufferTraceSink merged;
     replay::Farm farm(workers);
     farm.set_merged_trace_sink(&merged);
     for (const core::Protocol protocol : protocols) {
       replay::ReplayConfig config;
-      config.scenario = &scenario;
+      config.trace = &workload.trace;
+      config.explicit_modifications = workload.writes;
+      config.suppress_generated_modifications = true;
       config.protocol = protocol;
       farm.Submit(config);
     }
@@ -302,8 +304,12 @@ TEST(SynthModel, ReadOnlyScenarioStaysReadOnlyThroughReplay) {
   ScenarioConfig scenario = BaseConfig();
   scenario.requests = 800;
   scenario.write_fraction = 0.0;
+  const SynthWorkload workload = Generate(scenario);
+  ASSERT_TRUE(workload.writes.empty());
   replay::ReplayConfig config;
-  config.scenario = &scenario;
+  config.trace = &workload.trace;
+  config.explicit_modifications = workload.writes;
+  config.suppress_generated_modifications = true;
   config.protocol = core::Protocol::kInvalidation;
   const replay::ReplayMetrics metrics = replay::RunReplay(config);
   // Without the suppress flag the engine would fall back to the
