@@ -1,6 +1,6 @@
 #include "http/proxy_cache.h"
 
-#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "http/cache_key.h"
@@ -16,25 +16,109 @@ ProxyCache::ProxyCache(std::uint64_t capacity_bytes, ReplacementPolicy policy,
       owned_ids_(ids == nullptr ? std::make_unique<core::IdSpace>() : nullptr),
       ids_(ids == nullptr ? owned_ids_.get() : ids) {}
 
+ProxyCache::NodeId ProxyCache::Index::Find(Key key) const {
+  if (buckets_.empty()) return kNil;
+  const std::size_t mask = buckets_.size() - 1;
+  for (std::size_t i = Home(key);; i = (i + 1) & mask) {
+    const Bucket& bucket = buckets_[i];
+    if (bucket.node == kNil) return kNil;
+    if (bucket.key == key) return bucket.node;
+  }
+}
+
+void ProxyCache::Index::Insert(Key key, NodeId node) {
+  // Load stays at or under 1/2: most lookups miss, and a miss probes to
+  // the end of its run, which grows fast with load under linear probing.
+  if ((size_ + 1) * 2 > buckets_.size()) Grow();
+  const std::size_t mask = buckets_.size() - 1;
+  std::size_t i = Home(key);
+  while (buckets_[i].node != kNil) i = (i + 1) & mask;
+  buckets_[i] = Bucket{key, node};
+  ++size_;
+}
+
+void ProxyCache::Index::Erase(Key key) {
+  const std::size_t mask = buckets_.size() - 1;
+  std::size_t hole = Home(key);
+  while (buckets_[hole].key != key || buckets_[hole].node == kNil) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: pull each later bucket of the run into the
+  // hole unless that would move it before its home. No tombstones, so
+  // probe runs never lengthen under insert/erase churn.
+  for (std::size_t i = (hole + 1) & mask; buckets_[i].node != kNil;
+       i = (i + 1) & mask) {
+    const std::size_t home = Home(buckets_[i].key);
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      buckets_[hole] = buckets_[i];
+      hole = i;
+    }
+  }
+  buckets_[hole] = Bucket{};
+  --size_;
+}
+
+void ProxyCache::Index::Grow() {
+  std::vector<Bucket> old = std::move(buckets_);
+  buckets_.assign(old.empty() ? 16 : old.size() * 2, Bucket{});
+  shift_ = 64 - std::countr_zero(buckets_.size());
+  size_ = 0;
+  for (const Bucket& bucket : old) {
+    if (bucket.node != kNil) Insert(bucket.key, bucket.node);
+  }
+}
+
+void ProxyCache::PushFront(List& list, NodeId node) {
+  Links& n = links_[node];
+  n.prev = kNil;
+  n.next = list.head;
+  if (list.head != kNil) {
+    links_[list.head].prev = node;
+  } else {
+    list.tail = node;
+  }
+  list.head = node;
+  ++list.size;
+}
+
+void ProxyCache::Unlink(List& list, NodeId node) {
+  const Links& n = links_[node];
+  (n.prev != kNil ? links_[n.prev].next : list.head) = n.next;
+  (n.next != kNil ? links_[n.next].prev : list.tail) = n.prev;
+  --list.size;
+}
+
+void ProxyCache::MoveToFront(List& from, List& to, NodeId node) {
+  if (&from == &to && from.head == node) return;
+  Unlink(from, node);
+  PushFront(to, node);
+}
+
 CacheEntry* ProxyCache::Lookup(core::SiteId site, core::DocId doc, Time now) {
-  const auto it = index_.find(core::PackSiteDoc(site, doc));
-  if (it == index_.end()) return nullptr;
-  CacheEntry& entry = *it->second;
+  const NodeId node = index_.Find(core::PackSiteDoc(site, doc));
+  if (node == kNil) return nullptr;
+  CacheEntry& entry = entries_[node];
   if (entry.tier2_) {
     ++entry.tier2_hits_;
     // Promote a proven-hot entry back into tier 1 — unless it could never
     // fit there (it stays a tier-2 resident for its lifetime).
     if (entry.tier2_hits_ >= tier_.promotion_hits &&
         entry.size_bytes <= capacity_bytes_) {
-      PromoteFromTier2(it->second, now);
+      // The promotion's own pressure can evict the entry itself (the
+      // expired-first rule picks the earliest expired tier-1 entry, front
+      // or not). The hit is then still served from its freed node, whose
+      // fields stay intact until the next Insert — the node-based cache
+      // did the same through a dangling iterator, and the replay digests
+      // record it.
+      PromoteFromTier2(node, now);
     } else {
-      tier2_lru_.splice(tier2_lru_.begin(), tier2_lru_, it->second);
+      MoveToFront(tier2_lru_, tier2_lru_, node);
     }
   } else {
-    lru_.splice(lru_.begin(), lru_, it->second);
+    MoveToFront(lru_, lru_, node);
     policy_->OnHit(ViewOf(entry));
   }
-  return &*it->second;
+  return &entries_[node];
 }
 
 CacheEntry* ProxyCache::Lookup(const std::string& key, Time now) {
@@ -47,8 +131,8 @@ CacheEntry* ProxyCache::Lookup(const std::string& key, Time now) {
 }
 
 CacheEntry* ProxyCache::Peek(core::SiteId site, core::DocId doc) {
-  const auto it = index_.find(core::PackSiteDoc(site, doc));
-  return it == index_.end() ? nullptr : &*it->second;
+  const NodeId node = index_.Find(core::PackSiteDoc(site, doc));
+  return node == kNil ? nullptr : &entries_[node];
 }
 
 void ProxyCache::PushTtlItem(CacheEntry& entry) {
@@ -59,8 +143,7 @@ void ProxyCache::PushTtlItem(CacheEntry& entry) {
 
 void ProxyCache::CompactTtlHeap() {
   ttl_heap_.CompactIfStale([this](const eviction::ExpiryRecord& r) {
-    const auto it = index_.find(r.key);
-    return it != index_.end() && it->second->heap_stamp_ == r.stamp;
+    return TtlRecordLive(r.key, r.stamp);
   });
 }
 
@@ -98,18 +181,17 @@ void ProxyCache::Insert(CacheEntry entry, Time now) {
   while (bytes_used_ + entry.size_bytes > capacity_bytes_) DisplaceOne(now);
 
   entry.heap_stamp_ = next_stamp_++;
+  entry.tier2_ = false;  // the caller may pass a copy of a tier-2 entry
   bytes_used_ += entry.size_bytes;
   ++stats_.insertions;
-  lru_.push_front(std::move(entry));
-  Index(lru_.begin());
-  PushTtlItem(lru_.front());
-  policy_->OnInsert(ViewOf(lru_.front()));
+  const NodeId node = Place(std::move(entry));
+  policy_->OnInsert(ViewOf(entries_[node]));
 
   if (tier_.enabled()) {
     // Demote ahead of the hard limit so the next burst lands in headroom
     // instead of forcing synchronous evictions.
     const std::uint64_t watermark = DemotionWatermark();
-    while (bytes_used_ > watermark && !lru_.empty()) DisplaceOne(now);
+    while (bytes_used_ > watermark && lru_.size > 0) DisplaceOne(now);
   }
 }
 
@@ -122,15 +204,30 @@ void ProxyCache::InsertIntoTier2(CacheEntry entry, Time now) {
   }
   tier2_bytes_used_ += entry.size_bytes;
   ++stats_.insertions;
-  tier2_lru_.push_front(std::move(entry));
-  Index(tier2_lru_.begin());
-  PushTtlItem(tier2_lru_.front());
+  Place(std::move(entry));
 }
 
-void ProxyCache::Index(LruList::iterator it) {
-  index_[KeyOf(*it)] = it;
-  if (it->doc >= sites_of_doc_.size()) sites_of_doc_.resize(it->doc + 1);
-  sites_of_doc_[it->doc].push_back(it->site);
+ProxyCache::NodeId ProxyCache::Place(CacheEntry entry) {
+  NodeId node = free_head_;
+  if (node != kNil) {
+    free_head_ = links_[node].next;
+    entries_[node] = std::move(entry);
+  } else {
+    node = static_cast<NodeId>(entries_.size());
+    entries_.push_back(std::move(entry));
+    links_.emplace_back();
+  }
+  const CacheEntry& placed = entries_[node];
+  PushFront(ListOf(placed), node);
+  index_.Insert(KeyOf(placed), node);
+  if (placed.doc >= sites_of_doc_.size()) sites_of_doc_.resize(placed.doc + 1);
+  DocSites& sites = sites_of_doc_[placed.doc];
+  links_[node].doc_prev = sites.tail;
+  links_[node].doc_next = kNil;
+  (sites.tail != kNil ? links_[sites.tail].doc_next : sites.head) = node;
+  sites.tail = node;
+  PushTtlItem(entries_[node]);
+  return node;
 }
 
 bool ProxyCache::Erase(core::SiteId site, core::DocId doc) {
@@ -138,26 +235,30 @@ bool ProxyCache::Erase(core::SiteId site, core::DocId doc) {
 }
 
 bool ProxyCache::EraseByKey(Key key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
+  const NodeId node = index_.Find(key);
+  if (node == kNil) return false;
   ++stats_.erased;
-  RemoveEntry(it->second);
+  RemoveEntry(node);
   return true;
 }
 
-void ProxyCache::RemoveEntry(LruList::iterator it) {
-  if (it->heap_record_live_) ttl_heap_.NoteStale();
-  std::vector<core::SiteId>& sites = sites_of_doc_[it->doc];
-  sites.erase(std::find(sites.begin(), sites.end(), it->site));
-  index_.erase(KeyOf(*it));
-  if (it->tier2_) {
-    tier2_bytes_used_ -= it->size_bytes;
-    tier2_lru_.erase(it);
+void ProxyCache::RemoveEntry(NodeId node) {
+  Links& n = links_[node];
+  CacheEntry& entry = entries_[node];
+  if (entry.heap_record_live_) ttl_heap_.NoteStale();
+  DocSites& sites = sites_of_doc_[entry.doc];
+  (n.doc_prev != kNil ? links_[n.doc_prev].doc_next : sites.head) = n.doc_next;
+  (n.doc_next != kNil ? links_[n.doc_next].doc_prev : sites.tail) = n.doc_prev;
+  index_.Erase(KeyOf(entry));
+  if (entry.tier2_) {
+    tier2_bytes_used_ -= entry.size_bytes;
   } else {
-    bytes_used_ -= it->size_bytes;
-    policy_->OnErase(ViewOf(*it));
-    lru_.erase(it);
+    bytes_used_ -= entry.size_bytes;
+    policy_->OnErase(ViewOf(entry));
   }
+  Unlink(ListOf(entry), node);
+  n.next = free_head_;
+  free_head_ = node;
   // Any TTL-heap records pointing at this key became stale (NoteStale
   // above) and are skipped lazily; compaction keeps them from piling up.
   CompactTtlHeap();
@@ -165,11 +266,15 @@ void ProxyCache::RemoveEntry(LruList::iterator it) {
 
 std::size_t ProxyCache::EraseByUrl(core::DocId doc) {
   if (doc >= sites_of_doc_.size()) return 0;
-  // Copy out: EraseByKey mutates the vector we are iterating.
-  const std::vector<core::SiteId> sites = sites_of_doc_[doc];
   std::size_t erased = 0;
-  for (const core::SiteId site : sites) {
-    erased += EraseByKey(core::PackSiteDoc(site, doc));
+  // Removing a node touches only its own links, so the walk reads the
+  // successor first.
+  for (NodeId node = sites_of_doc_[doc].head; node != kNil;) {
+    const NodeId next = links_[node].doc_next;
+    ++stats_.erased;
+    RemoveEntry(node);
+    ++erased;
+    node = next;
   }
   return erased;
 }
@@ -180,10 +285,11 @@ std::vector<CacheEntry*> ProxyCache::TakeExpired(Time now,
   while (expired.size() < max_items && !ttl_heap_.empty()) {
     const eviction::ExpiryRecord top = ttl_heap_.Top();
     if (top.expires > now) break;
-    const auto it = index_.find(top.key);
-    if (it != index_.end() && it->second->heap_stamp_ == top.stamp) {
-      expired.push_back(&*it->second);
-      it->second->heap_record_live_ = false;  // record consumed
+    const NodeId node = index_.Find(top.key);
+    if (node != kNil && entries_[node].heap_stamp_ == top.stamp) {
+      CacheEntry& entry = entries_[node];
+      expired.push_back(&entry);
+      entry.heap_record_live_ = false;  // record consumed
       ttl_heap_.PopLive();
     } else {
       ttl_heap_.PopStale();
@@ -204,97 +310,96 @@ void ProxyCache::SetTtlExpiry(CacheEntry& entry, Time expires) {
 }
 
 ProxyCache::Key ProxyCache::LruTailKey() const {
-  return KeyOf(*std::prev(lru_.end()));
+  return KeyOf(entries_[lru_.tail]);
 }
 
 bool ProxyCache::TtlRecordLive(Key key, std::uint64_t stamp) const {
-  const auto it = index_.find(key);
-  return it != index_.end() && it->second->heap_stamp_ == stamp;
+  const NodeId node = index_.Find(key);
+  return node != kNil && entries_[node].heap_stamp_ == stamp;
 }
 
 void ProxyCache::NoteTtlRecordConsumed(Key key) {
-  const auto it = index_.find(key);
-  WEBCC_CHECK_MSG(it != index_.end(), "consuming a record with no entry");
-  it->second->heap_record_live_ = false;
+  const NodeId node = index_.Find(key);
+  WEBCC_CHECK_MSG(node != kNil, "consuming a record with no entry");
+  entries_[node].heap_record_live_ = false;
 }
 
 bool ProxyCache::InEvictableTier(Key key) const {
-  const auto it = index_.find(key);
-  return it != index_.end() && !it->second->tier2_;
+  const NodeId node = index_.Find(key);
+  return node != kNil && !entries_[node].tier2_;
 }
 
 void ProxyCache::DisplaceOne(Time now) {
-  WEBCC_CHECK_MSG(!lru_.empty(), "eviction from an empty cache");
+  WEBCC_CHECK_MSG(lru_.size > 0, "eviction from an empty cache");
   const eviction::Victim victim = policy_->PickVictim(now, *this);
-  const auto it = index_.find(victim.key);
-  WEBCC_CHECK_MSG(it != index_.end(), "policy picked a non-resident victim");
+  const NodeId node = index_.Find(victim.key);
+  WEBCC_CHECK_MSG(node != kNil, "policy picked a non-resident victim");
 
   // Pressure demotes instead of evicting when the second tier can hold the
   // entry — except entries the expired-first rule chose: already-stale
   // documents are not worth tier-2 space.
+  CacheEntry& entry = entries_[node];
   if (tier_.enabled() && !victim.expired_rule &&
-      it->second->size_bytes <= tier_.tier2_capacity_bytes) {
-    CacheEntry& entry = *it->second;
+      entry.size_bytes <= tier_.tier2_capacity_bytes) {
     policy_->OnErase(ViewOf(entry));
     bytes_used_ -= entry.size_bytes;
     entry.tier2_ = true;
     entry.tier2_hits_ = 0;
     tier2_bytes_used_ += entry.size_bytes;
-    tier2_lru_.splice(tier2_lru_.begin(), lru_, it->second);
+    MoveToFront(lru_, tier2_lru_, node);
     ++stats_.tier2_demotions;
     while (tier2_bytes_used_ > tier_.tier2_capacity_bytes) {
       EvictTier2Tail(now);
     }
     return;
   }
-  EvictEntry(it->second, now, victim.expired_rule);
+  EvictEntry(node, now, victim.expired_rule);
 }
 
-void ProxyCache::EvictEntry(LruList::iterator it, Time now,
-                            bool expired_rule) {
+void ProxyCache::EvictEntry(NodeId node, Time now, bool expired_rule) {
   ++stats_.evictions;
   if (expired_rule) ++stats_.expired_evictions;
-  EmitEviction(*it, now, expired_rule ? 1 : 0);
-  RemoveEntry(it);
+  EmitEviction(entries_[node], now, expired_rule ? 1 : 0);
+  RemoveEntry(node);
 }
 
 void ProxyCache::EvictTier2Tail(Time now) {
-  WEBCC_CHECK_MSG(!tier2_lru_.empty(), "eviction from an empty tier 2");
-  const auto victim = std::prev(tier2_lru_.end());
+  WEBCC_CHECK_MSG(tier2_lru_.size > 0, "eviction from an empty tier 2");
+  const NodeId victim = tier2_lru_.tail;
   ++stats_.evictions;
   ++stats_.tier2_evictions;
-  EmitEviction(*victim, now, 3);
+  EmitEviction(entries_[victim], now, 3);
   RemoveEntry(victim);
 }
 
-void ProxyCache::PromoteFromTier2(LruList::iterator it, Time now) {
-  CacheEntry& entry = *it;
+void ProxyCache::PromoteFromTier2(NodeId node, Time now) {
+  CacheEntry& entry = entries_[node];
   entry.tier2_ = false;
   entry.tier2_hits_ = 0;
   tier2_bytes_used_ -= entry.size_bytes;
   bytes_used_ += entry.size_bytes;
-  lru_.splice(lru_.begin(), tier2_lru_, it);
+  MoveToFront(tier2_lru_, lru_, node);
   policy_->OnInsert(ViewOf(entry));
   ++stats_.tier2_promotions;
   // The promotion may overshoot tier 1's budget; resolve like an insert
-  // would (the promoted entry sits at the front, so it is never its own
-  // displacement victim while anything else remains).
-  while (bytes_used_ > capacity_bytes_ && lru_.size() > 1) DisplaceOne(now);
+  // would (under LRU the promoted entry sits at the front, so it is never
+  // its own displacement victim while anything else remains).
+  while (bytes_used_ > capacity_bytes_ && lru_.size > 1) DisplaceOne(now);
 }
 
 void ProxyCache::Tier2TtlCleanup(Time now) {
-  std::vector<LruList::iterator> dead;
-  auto it = tier2_lru_.end();
+  // Scans from the cold end; a removal unlinks only its own node, so the
+  // walk reads the predecessor first.
+  NodeId node = tier2_lru_.tail;
   for (std::size_t scanned = 0;
-       scanned < tier_.ttl_cleanup_per_tick && it != tier2_lru_.begin();
-       ++scanned) {
-    --it;
-    if (it->ttl_expires <= now) dead.push_back(it);
-  }
-  for (const LruList::iterator& victim : dead) {
-    ++stats_.tier2_expired_cleaned;
-    EmitEviction(*victim, now, 4);
-    RemoveEntry(victim);
+       scanned < tier_.ttl_cleanup_per_tick && node != kNil; ++scanned) {
+    const NodeId prev = links_[node].prev;
+    if (entries_[node].ttl_expires <= now) {
+      ++stats_.tier2_expired_cleaned;
+      EmitEviction(entries_[node], now, 4);
+      RemoveEntry(node);
+    }
+    node = prev;
   }
 }
 
@@ -310,7 +415,7 @@ void ProxyCache::ExportMetrics(obs::MetricsRegistry& registry,
   registry.SetCounter(name("expired_evictions"), stats_.expired_evictions);
   registry.SetCounter(name("erased"), stats_.erased);
   registry.SetCounter(name("bytes_used"), bytes_used());
-  registry.SetCounter(name("entries"), lru_.size() + tier2_lru_.size());
+  registry.SetCounter(name("entries"), entry_count());
   registry.SetCounter(name("oversize_rejections"), stats_.oversize_rejections);
   registry.SetCounter(name("tier2_promotions"), stats_.tier2_promotions);
   registry.SetCounter(name("tier2_demotions"), stats_.tier2_demotions);
@@ -318,20 +423,24 @@ void ProxyCache::ExportMetrics(obs::MetricsRegistry& registry,
   registry.SetCounter(name("tier2_expired_cleaned"),
                       stats_.tier2_expired_cleaned);
   registry.SetCounter(name("tier2_bytes_used"), tier2_bytes_used_);
-  registry.SetCounter(name("tier2_entries"), tier2_lru_.size());
+  registry.SetCounter(name("tier2_entries"), tier2_lru_.size);
   policy_->ExportStats(registry, prefix);
 }
 
 void ProxyCache::MarkAllQuestionable() {
-  for (CacheEntry& entry : lru_) entry.questionable = true;
-  for (CacheEntry& entry : tier2_lru_) entry.questionable = true;
+  for (const List* list : {&lru_, &tier2_lru_}) {
+    for (NodeId node = list->head; node != kNil; node = links_[node].next) {
+      entries_[node].questionable = true;
+    }
+  }
 }
 
 std::size_t ProxyCache::MarkQuestionableWhere(
     const std::function<bool(const CacheEntry&)>& predicate) {
   std::size_t marked = 0;
-  for (LruList* list : {&lru_, &tier2_lru_}) {
-    for (CacheEntry& entry : *list) {
+  for (const List* list : {&lru_, &tier2_lru_}) {
+    for (NodeId node = list->head; node != kNil; node = links_[node].next) {
+      CacheEntry& entry = entries_[node];
       if (!entry.questionable && predicate(entry)) {
         entry.questionable = true;
         ++marked;

@@ -5,10 +5,10 @@
 // exactly as the paper does.
 //
 // Replacement is delegated to the eviction kernel (src/http/eviction/): the
-// cache owns all storage and indexes — the LRU list, the (site, doc) entry
-// index, and the TTL expiry heap — and an EvictionPolicy strategy chooses
-// every victim through the narrow EvictionHost view. Three policies ship:
-// plain LRU, Harvest's expired-first LRU (the paper traces its SASK
+// cache owns all storage and indexes — the recency lists, the (site, doc)
+// entry index, and the TTL expiry heap — and an EvictionPolicy strategy
+// chooses every victim through the narrow EvictionHost view. Three policies
+// ship: plain LRU, Harvest's expired-first LRU (the paper traces its SASK
 // hit-ratio anomaly to this policy interacting with adaptive TTL's
 // conservative lifetimes — a freshly modified document gets a short TTL and
 // is evicted first despite being hot), and GreedyDual-Size.
@@ -25,14 +25,22 @@
 // Entries are keyed by (site, doc) ids in a core::IdSpace (DESIGN.md §16);
 // the by-name calls (Lookup by key, EraseByUrl, Insert of an entry named
 // only by url/owner) resolve the names once and use the id path.
+//
+// Layout (DESIGN.md §17): entries live in one slab of slots, each slot an
+// entry plus a parallel 16-byte record of u32 links for two intrusive
+// doubly linked lists — its tier's recency list (tier 1 or tier 2; front =
+// most recently used) and its document's site list (insertion order, which
+// EraseByUrl follows). The (site, doc) -> slot index is an open-addressing
+// table: power-of-two size, Fibonacci hash, linear probing, backward-shift
+// erase. Freed slots are reused, so a cache in steady state allocates
+// nothing. Slab growth moves entries: a CacheEntry* is valid only until the
+// next Insert or Erase.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/id_space.h"
@@ -166,8 +174,8 @@ class ProxyCache : private eviction::EvictionHost {
   std::uint64_t tier1_bytes_used() const { return bytes_used_; }
   std::uint64_t tier2_bytes_used() const { return tier2_bytes_used_; }
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
-  std::size_t entry_count() const { return lru_.size() + tier2_lru_.size(); }
-  std::size_t tier2_entry_count() const { return tier2_lru_.size(); }
+  std::size_t entry_count() const { return lru_.size + tier2_lru_.size; }
+  std::size_t tier2_entry_count() const { return tier2_lru_.size; }
   const ProxyCacheStats& stats() const { return stats_; }
   ReplacementPolicy policy_kind() const { return policy_->kind(); }
   const TierConfig& tier_config() const { return tier_; }
@@ -191,9 +199,55 @@ class ProxyCache : private eviction::EvictionHost {
                      std::string_view prefix) const;
 
  private:
-  using LruList = std::list<CacheEntry>;
-
   using Key = eviction::EntryKey;  // core::PackSiteDoc(site, doc)
+  using NodeId = std::uint32_t;    // slab slot: entries_[i], links_[i]
+  static constexpr NodeId kNil = ~NodeId{0};
+
+  // A slot's list links, kept apart from its entry so that relinking a
+  // neighbour touches 16 bytes, not a whole entry. `prev`/`next` link the
+  // slot into its tier's recency list (a free slot's `next` chains the free
+  // list); `doc_prev`/`doc_next` link it into its document's site list.
+  struct Links {
+    NodeId prev = kNil;
+    NodeId next = kNil;
+    NodeId doc_prev = kNil;
+    NodeId doc_next = kNil;
+  };
+  struct List {
+    NodeId head = kNil;  // most recently used
+    NodeId tail = kNil;
+    std::size_t size = 0;
+  };
+  struct DocSites {
+    NodeId head = kNil;  // first inserted
+    NodeId tail = kNil;
+  };
+
+  // The (site, doc) -> node index. An empty bucket is marked by its node,
+  // never by its key: every packed key, ~0 (the key of two unknown ids)
+  // included, is a value Find may be asked for.
+  class Index {
+   public:
+    NodeId Find(Key key) const;
+    void Insert(Key key, NodeId node);  // key must be absent
+    void Erase(Key key);                // key must be present
+
+   private:
+    struct Bucket {
+      Key key = 0;
+      NodeId node = kNil;  // kNil = empty
+    };
+    std::size_t Home(Key key) const {
+      // Fibonacci hashing: the high bits of key * 2^64/phi.
+      return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                      shift_);
+    }
+    void Grow();
+
+    std::vector<Bucket> buckets_;  // power-of-two size (0 before first use)
+    std::size_t size_ = 0;
+    unsigned shift_ = 64;          // 64 - log2(buckets_.size())
+  };
 
   // EvictionHost — the policy's window into the indexes.
   Key LruTailKey() const override;
@@ -209,20 +263,29 @@ class ProxyCache : private eviction::EvictionHost {
     return eviction::EntryView{KeyOf(entry), entry.size_bytes,
                                entry.ttl_expires, entry.heap_stamp_};
   }
+  List& ListOf(const CacheEntry& entry) {
+    return entry.tier2_ ? tier2_lru_ : lru_;
+  }
   void EmitEviction(const CacheEntry& entry, Time now, std::int64_t detail);
 
+  void PushFront(List& list, NodeId node);
+  void Unlink(List& list, NodeId node);
+  // Moves `node` from `from` to the front of `to` (the same list allowed).
+  void MoveToFront(List& from, List& to, NodeId node);
+
   bool EraseByKey(Key key);
-  // Enters a just-placed entry into the index and its doc's site list.
-  void Index(LruList::iterator it);
+  // Places `entry` in a free node at the front of its tier's list, enters
+  // it into the index and its doc's site list, and arms its TTL record.
+  NodeId Place(CacheEntry entry);
   // Frees tier-1 space for one entry: the policy's victim is demoted into
   // tier 2 when it fits (and is not already expired), evicted otherwise.
   void DisplaceOne(Time now);
-  void EvictEntry(LruList::iterator it, Time now, bool expired_rule);
+  void EvictEntry(NodeId node, Time now, bool expired_rule);
   void EvictTier2Tail(Time now);
   void InsertIntoTier2(CacheEntry entry, Time now);
-  void PromoteFromTier2(LruList::iterator it, Time now);
+  void PromoteFromTier2(NodeId node, Time now);
   void Tier2TtlCleanup(Time now);
-  void RemoveEntry(LruList::iterator it);
+  void RemoveEntry(NodeId node);
   void PushTtlItem(CacheEntry& entry);
   void CompactTtlHeap();
   std::uint64_t DemotionWatermark() const;
@@ -237,12 +300,14 @@ class ProxyCache : private eviction::EvictionHost {
   std::unique_ptr<core::IdSpace> owned_ids_;
   core::IdSpace* ids_;
 
-  LruList lru_;        // tier 1; front = most recently used
-  LruList tier2_lru_;  // tier 2; front = most recently touched
-  std::unordered_map<Key, LruList::iterator> index_;
-  // Indexed by doc id: the sites holding a copy, in insertion order (keeps
-  // EraseByUrl deterministic).
-  std::vector<std::vector<core::SiteId>> sites_of_doc_;
+  std::vector<CacheEntry> entries_;  // the slab, with links_ parallel
+  std::vector<Links> links_;
+  NodeId free_head_ = kNil;  // free slots, chained through Links::next
+  List lru_;                 // tier 1
+  List tier2_lru_;           // tier 2
+  Index index_;
+  // Indexed by doc id: the nodes holding a copy, in insertion order.
+  std::vector<DocSites> sites_of_doc_;
   eviction::ExpiryHeap ttl_heap_;
   ProxyCacheStats stats_;
   obs::TraceSink* trace_sink_ = nullptr;

@@ -96,9 +96,6 @@ void Engine::Setup() {
     clients_[record.client % config_.num_pseudo_clients].records.push_back(
         record);
   }
-  // Pending events peak around a few per in-flight request (timeout guard,
-  // network hop, completion) plus invalidation fan-out bursts.
-  sim_.Reserve(static_cast<std::size_t>(config_.num_pseudo_clients) * 8 + 256);
 
   if (!config_.explicit_modifications.empty()) {
     modifications_ = config_.explicit_modifications;

@@ -6,17 +6,24 @@
 // number breaks ties), which together with seeded RNGs makes whole replays
 // deterministic.
 //
-// The queue stores sim::Task actions (inline storage for small captures) so
-// scheduling the common event allocates nothing, and its backing vector can
-// be Reserve()d up front; peak_pending() reports the high-water mark so
-// replays can size it from measurement.
+// Layout (DESIGN.md §17): each action is a sim::Task (inline storage for
+// small captures, so scheduling the common event allocates nothing) that
+// stays in the slab slot it was first put in until it runs. The queue is a
+// 4-ary min-heap of plain 24-byte (at, seq, slot) records, so a sift moves
+// records, never a Task. (at, seq) is a total order — seq is unique — so
+// the pop order is exactly the one any correct priority queue gives, and
+// every replay digest is independent of the heap's arity or layout. Freed
+// slots are reused, so a simulator in steady state allocates nothing;
+// peak_pending() reports the high-water mark.
 #pragma once
 
 #include <cstdint>
-#include <queue>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/task.h"
+#include "util/check.h"
 #include "util/time.h"
 
 namespace webcc::sim {
@@ -27,11 +34,25 @@ class Simulator {
 
   Time now() const { return now_; }
 
-  // Schedules `action` at absolute time `t` (>= now()).
-  void At(Time t, Action action);
+  // Schedules `action` (any callable sim::Task accepts) at absolute time
+  // `t` (>= now()). The Task is built directly in its slab slot.
+  template <typename F>
+  void At(Time t, F&& action) {
+    WEBCC_CHECK_MSG(t >= now_, "cannot schedule into the past");
+    const std::uint32_t slot = TakeSlot();
+    Task& task = actions_[slot];
+    std::destroy_at(&task);  // a free slot holds an empty Task
+    std::construct_at(&task, std::forward<F>(action));
+    WEBCC_CHECK_MSG(static_cast<bool>(task), "null action");
+    Push(Record{t, next_seq_++, slot});
+  }
 
   // Schedules `action` `delay` microseconds from now (delay >= 0).
-  void After(Time delay, Action action);
+  template <typename F>
+  void After(Time delay, F&& action) {
+    WEBCC_CHECK_MSG(delay >= 0, "negative delay");
+    At(now_ + delay, std::forward<F>(action));
+  }
 
   // Runs the earliest event; returns false when the queue is empty.
   bool Step();
@@ -43,38 +64,42 @@ class Simulator {
   // even if the queue still holds later events.
   void RunUntil(Time t);
 
-  // Pre-sizes the event queue's backing storage.
-  void Reserve(std::size_t events) { queue_.Reserve(events); }
-
-  std::size_t pending() const { return queue_.size(); }
+  std::size_t pending() const { return heap_.size(); }
   std::uint64_t executed() const { return executed_; }
   // Largest number of simultaneously pending events so far.
   std::size_t peak_pending() const { return peak_pending_; }
 
  private:
-  struct Event {
+  struct Record {
     Time at;
     std::uint64_t seq;
-    Task action;
+    std::uint32_t slot;  // index into actions_
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
+
+  std::uint32_t TakeSlot() {
+    if (free_slots_.empty()) {
+      actions_.emplace_back();
+      return static_cast<std::uint32_t>(actions_.size() - 1);
     }
-  };
-  // Thin subclass exposing the protected container for Reserve().
-  class EventQueue
-      : public std::priority_queue<Event, std::vector<Event>, Later> {
-   public:
-    void Reserve(std::size_t events) { c.reserve(events); }
-  };
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  void Push(Record record);
+
+  static bool Earlier(const Record& a, const Record& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+  void SiftUp(std::size_t i);
+  void SiftDown(std::size_t i);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t peak_pending_ = 0;
-  EventQueue queue_;
+  std::vector<Record> heap_;   // 4-ary min-heap by (at, seq)
+  std::vector<Task> actions_;  // slab; empty Tasks are free slots
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace webcc::sim

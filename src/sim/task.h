@@ -1,12 +1,16 @@
 // Move-only callable with inline storage for simulator events.
 //
-// The common event — a lambda capturing `this` plus a few scalars — fits in
-// the event record itself, so scheduling it allocates nothing. libstdc++'s
-// std::function only inlines captures up to two words, which made nearly
-// every scheduled event a heap allocation; profiling the replay engine put
-// that churn at the top of the hot loop. Captures larger than kInlineBytes
-// (replies and requests carrying strings) fall back to a single heap cell,
-// exactly as std::function would.
+// Every capture on the replay's request path fits in the Task itself, so
+// scheduling those events allocates nothing. libstdc++'s std::function
+// only inlines captures up to two words, which made nearly every scheduled
+// event a heap allocation; profiling the replay engine put that churn at
+// the top of the hot loop. Captures larger than kInlineBytes fall back to
+// a single heap cell, exactly as std::function would; on the replay path
+// that is only rare ones, such as a partitioned send's retry.
+//
+// The size is affordable because a Task is moved only twice: into the
+// simulator's slab when scheduled and out of it when run. The event heap
+// orders small records that name the slot (sim/simulator.h).
 #pragma once
 
 #include <cstddef>
@@ -18,8 +22,10 @@ namespace webcc::sim {
 
 class Task {
  public:
-  // this + six words: covers every hot-path capture in the replay engine.
-  static constexpr std::size_t kInlineBytes = 56;
+  // The largest hot-path capture: the server reply hop of
+  // Engine::ReplyToClient (this, the reply, its addressing and the two
+  // piggyback vectors). With ops_ after the storage a Task is 144 bytes.
+  static constexpr std::size_t kInlineBytes = 136;
 
   Task() noexcept = default;
 
@@ -68,7 +74,7 @@ class Task {
   struct Ops {
     void (*invoke)(void* self);
     // Move-constructs dst from src, then destroys src (heap mode: steals the
-    // pointer). noexcept so queue reheaps never throw mid-move.
+    // pointer). noexcept so slab growth never throws mid-move.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void* self);
   };
@@ -109,8 +115,8 @@ class Task {
     }
   }
 
-  const Ops* ops_ = nullptr;
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  const Ops* ops_ = nullptr;
 };
 
 }  // namespace webcc::sim

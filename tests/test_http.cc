@@ -1,8 +1,10 @@
 // Unit tests for http/: document store, origin server, proxy cache.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "http/cache_key.h"
 #include "http/document_store.h"
@@ -349,6 +351,49 @@ TEST(ProxyCache, MarkQuestionableWhereFilters) {
   EXPECT_EQ(marked, 1u);
   EXPECT_TRUE(PeekKey(cache, Key("/a", "alice"))->questionable);
   EXPECT_FALSE(PeekKey(cache, Key("/a", "bob"))->questionable);
+}
+
+TEST(ProxyCache, UnknownIdsMatchNothing) {
+  // kNoInternId is what a by-name caller gets for a name the space never
+  // saw, and the packed (kNoInternId, kNoInternId) key is ~0. No such
+  // call may reach an entry, whether the index has no storage yet, holds
+  // entries, or has had them all erased — in particular ~0 must never
+  // match how the index marks an empty bucket.
+  static constexpr core::InternId kNone = core::kNoInternId;
+  ProxyCache cache(100000, ReplacementPolicy::kLru);
+  const auto probe = [&cache] {
+    const std::size_t entries = cache.entry_count();
+    const std::uint64_t erased = cache.stats().erased;
+    for (const auto& [site, doc] :
+         {std::pair{kNone, kNone}, std::pair{kNone, core::InternId{0}},
+          std::pair{core::InternId{0}, kNone}}) {
+      if (cache.Lookup(site, doc) != nullptr ||
+          cache.Peek(site, doc) != nullptr) {
+        // Erasing through a bogus match would corrupt the cache.
+        ADD_FAILURE() << "(" << site << ", " << doc << ") found an entry";
+        return;
+      }
+      EXPECT_FALSE(cache.Erase(site, doc));
+    }
+    EXPECT_EQ(cache.EraseByUrl(kNone), 0u);
+    EXPECT_EQ(cache.entry_count(), entries);
+    EXPECT_EQ(cache.stats().erased, erased);
+  };
+  probe();
+  if (HasFailure()) return;
+  // Site 0 and doc 0 become real ids here, so the half-known pairs above
+  // name a real site or document.
+  for (int i = 0; i < 200; ++i) {
+    cache.Insert(MakeEntry("/d" + std::to_string(i % 20), 10, kNeverExpires,
+                           "c" + std::to_string(i / 20)),
+                 0);
+  }
+  ASSERT_EQ(cache.entry_count(), 200u);
+  probe();
+  if (HasFailure()) return;
+  for (core::DocId doc = 0; doc < 20; ++doc) cache.EraseByUrl(doc);
+  ASSERT_EQ(cache.entry_count(), 0u);
+  probe();
 }
 
 TEST(ProxyCache, ZeroSizeEntriesAllowed) {

@@ -1,11 +1,18 @@
 // Unit tests for sim/: event ordering, FIFO stations, the network model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <iterator>
 #include <vector>
 
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/station.h"
+#include "sim/task.h"
+#include "util/rng.h"
 
 namespace webcc::sim {
 namespace {
@@ -88,6 +95,109 @@ TEST(Simulator, CountsExecutedEvents) {
   for (int i = 0; i < 7; ++i) sim.At(i, [] {});
   sim.Run();
   EXPECT_EQ(sim.executed(), 7u);
+}
+
+// Random interleavings of At, After, Step and RunUntil, with many equal
+// timestamps, events that schedule more events, and captures both inline
+// and too large for sim::Task's inline storage. (at, seq) is a total order
+// and no event may be scheduled before now(), so the events must run in
+// exactly the order a sort of everything scheduled by (at, seq) gives.
+TEST(Simulator, RandomScheduleRunsInAtSeqOrder) {
+  struct Key {
+    Time at;
+    std::uint64_t seq;
+    bool operator==(const Key&) const = default;
+  };
+  Simulator sim;
+  util::Rng rng(17);
+  std::vector<Key> scheduled;
+  std::vector<Key> ran;
+  // Small delays from a short list, so most timestamps collide.
+  const auto delay = [&rng] {
+    static constexpr Time kDelays[] = {0, 0, 0, 1, 1, 5, 40};
+    return kDelays[rng.NextBelow(std::size(kDelays))];
+  };
+  std::function<void()> schedule_one = [&] {
+    const Key key{sim.now() + delay(), scheduled.size()};
+    scheduled.push_back(key);
+    const auto record = [&, key] {
+      EXPECT_EQ(sim.now(), key.at);
+      ran.push_back(key);
+      if (rng.NextBelow(3) == 0) schedule_one();  // from inside an event
+    };
+    if (rng.NextBelow(2) == 0) {
+      sim.At(key.at, record);
+    } else {
+      // The same event with a capture no inline storage holds.
+      std::array<char, 2 * Task::kInlineBytes> ballast{};
+      sim.After(key.at - sim.now(), [record, ballast] { record(); });
+    }
+  };
+  for (int round = 0; round < 3000; ++round) {
+    switch (rng.NextBelow(4)) {
+      case 0:
+      case 1:
+        for (std::uint64_t n = rng.NextBelow(4); n > 0; --n) schedule_one();
+        break;
+      case 2:
+        sim.Step();
+        break;
+      default:
+        sim.RunUntil(sim.now() + delay());
+        break;
+    }
+  }
+  sim.Run();
+  ASSERT_EQ(ran.size(), scheduled.size());
+  EXPECT_GT(sim.peak_pending(), 10u);
+  std::vector<Key> expected = scheduled;
+  std::sort(expected.begin(), expected.end(), [](const Key& a, const Key& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  });
+  EXPECT_TRUE(ran == expected);
+}
+
+// Destroying a simulator destroys each action exactly once: those that ran
+// (when they ran) and those still pending (with the simulator), inline and
+// heap-held alike. The sanitizer builds also check that nothing leaks.
+TEST(Simulator, DestructionDestroysEachActionOnce) {
+  // Move-only token: only the instance that owns the id reports it.
+  struct Token {
+    std::vector<int>* destroyed;
+    int id;
+    bool owner = true;
+    Token(std::vector<int>* d, int i) : destroyed(d), id(i) {}
+    Token(Token&& other) noexcept
+        : destroyed(other.destroyed), id(other.id), owner(other.owner) {
+      other.owner = false;
+    }
+    Token& operator=(Token&&) = delete;
+    ~Token() {
+      if (owner) destroyed->push_back(id);
+    }
+  };
+  constexpr int kActions = 200;
+  std::vector<int> destroyed;
+  int ran = 0;
+  {
+    Simulator sim;
+    for (int id = 0; id < kActions; ++id) {
+      const Time at = id % 10;
+      if (id % 2 == 0) {
+        sim.At(at, [token = Token(&destroyed, id), &ran] { ++ran; });
+      } else {
+        std::array<char, 2 * Task::kInlineBytes> ballast{};
+        sim.At(at, [token = Token(&destroyed, id), ballast, &ran] { ++ran; });
+      }
+    }
+    sim.RunUntil(4);  // half run; the rest are still pending
+    EXPECT_EQ(ran, kActions / 2);
+    EXPECT_EQ(destroyed.size(), static_cast<std::size_t>(kActions / 2));
+  }
+  std::sort(destroyed.begin(), destroyed.end());
+  std::vector<int> each(kActions);
+  for (int id = 0; id < kActions; ++id) each[id] = id;
+  EXPECT_EQ(destroyed, each);
 }
 
 // --- FifoStation -----------------------------------------------------------------
