@@ -95,7 +95,8 @@ void ProxyCache::MoveToFront(List& from, List& to, NodeId node) {
 }
 
 CacheEntry* ProxyCache::Lookup(core::SiteId site, core::DocId doc, Time now) {
-  const NodeId node = index_.Find(core::PackSiteDoc(site, doc));
+  const Key key = core::PackSiteDoc(site, doc);
+  const NodeId node = index_.Find(key);
   if (node == kNil) return nullptr;
   CacheEntry& entry = entries_[node];
   if (entry.tier2_) {
@@ -106,11 +107,9 @@ CacheEntry* ProxyCache::Lookup(core::SiteId site, core::DocId doc, Time now) {
         entry.size_bytes <= capacity_bytes_) {
       // The promotion's own pressure can evict the entry itself (the
       // expired-first rule picks the earliest expired tier-1 entry, front
-      // or not). The hit is then still served from its freed node, whose
-      // fields stay intact until the next Insert — the node-based cache
-      // did the same through a dangling iterator, and the replay digests
-      // record it.
+      // or not). Its slot is then free, so the lookup is a miss.
       PromoteFromTier2(node, now);
+      if (index_.Find(key) != node) return nullptr;
     } else {
       MoveToFront(tier2_lru_, tier2_lru_, node);
     }

@@ -525,7 +525,9 @@ void Engine::SendToServer(PseudoClient& pc,
   metrics_.message_bytes += net::WireSize(request, ids_) + piggyback_bytes;
 
   // Reply timeout: the closed loop must advance even if the server is dead.
-  sim_.After(config_.client_costs.request_timeout, [this, &pc, seq] {
+  // Every guard has the same delay, so it waits in the simulator's FIFO
+  // lane; a finished request's guard still runs, as a no-op.
+  sim_.AfterFixed(config_.client_costs.request_timeout, [this, &pc, seq] {
     if (pc.outstanding != seq) return;
     pc.outstanding = 0;
     pcv_in_flight_.erase(seq);

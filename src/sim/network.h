@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <type_traits>
 #include <utility>
@@ -18,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "sim/simulator.h"
+#include "sim/task.h"
 #include "util/check.h"
 #include "util/time.h"
 
@@ -84,9 +84,11 @@ class Network {
 
   // Delivery handlers are scheduled on the simulator queue; sim::Task keeps
   // small captures inline. The done callback is invoked at the sender (not
-  // scheduled), so it stays a std::function.
+  // scheduled) and has inline storage of its own, sized for the largest
+  // replay capture: Engine::SendInvalidation's refusal handler (this, the
+  // 48-byte DocInvalidation, the write id and a flag).
   using DeliverFn = Simulator::Action;
-  using ReliableDoneFn = std::function<void(SendResult, Time /*done_at*/)>;
+  using ReliableDoneFn = InlineFunction<void(SendResult, Time /*done_at*/), 72>;
 
   Network(Simulator& sim, NetworkConfig config)
       : sim_(sim), config_(config) {}

@@ -13,15 +13,44 @@ constexpr std::size_t kArity = 4;
 void Simulator::Push(Record record) {
   heap_.push_back(record);
   SiftUp(heap_.size() - 1);
-  if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
+  NotePending();
 }
 
-bool Simulator::Step() {
-  if (heap_.empty()) return false;
+void Simulator::PushLane(Record record) {
+  if (lane_size_ == lane_.size()) {
+    // Full: unroll into a ring twice the size, head at index 0.
+    std::vector<Record> grown(lane_.empty() ? 16 : lane_.size() * 2);
+    for (std::size_t i = 0; i < lane_size_; ++i) grown[i] = LaneAt(i);
+    lane_ = std::move(grown);
+    lane_head_ = 0;
+  }
+  lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = record;
+  ++lane_size_;
+  NotePending();
+}
+
+Simulator::Record Simulator::PopHeap() {
   const Record top = heap_.front();
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) SiftDown(0);
+  return top;
+}
+
+Simulator::Record Simulator::PopLane() {
+  const Record top = LaneAt(0);
+  lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+  --lane_size_;
+  return top;
+}
+
+bool Simulator::Step() {
+  // The smaller head is the least pending record: the lane is in
+  // (at, seq) order, and seq is unique across heap and lane.
+  const bool from_lane =
+      lane_size_ != 0 && (heap_.empty() || Earlier(LaneAt(0), heap_.front()));
+  if (!from_lane && heap_.empty()) return false;
+  const Record top = from_lane ? PopLane() : PopHeap();
   // Move the action out before running it: it may schedule new events,
   // which can grow the slab under it.
   Task action = std::move(actions_[top.slot]);
@@ -39,7 +68,10 @@ void Simulator::Run() {
 
 void Simulator::RunUntil(Time t) {
   WEBCC_CHECK_MSG(t >= now_, "cannot run backwards");
-  while (!heap_.empty() && heap_.front().at <= t) Step();
+  while ((!heap_.empty() && heap_.front().at <= t) ||
+         (lane_size_ != 0 && LaneAt(0).at <= t)) {
+    Step();
+  }
   now_ = t;
 }
 

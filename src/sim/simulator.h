@@ -15,6 +15,12 @@
 // every replay digest is independent of the heap's arity or layout. Freed
 // slots are reused, so a simulator in steady state allocates nothing;
 // peak_pending() reports the high-water mark.
+//
+// Events that all share one delay (AfterFixed) skip the heap: now() never
+// decreases, so their records arrive already in (at, seq) order and wait
+// in a FIFO lane beside it. Each pop takes the smaller of the two heads,
+// which is the record a single heap holding both would pop, so the lane
+// changes no event's order, count or the pending figures.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +45,7 @@ class Simulator {
   template <typename F>
   void At(Time t, F&& action) {
     WEBCC_CHECK_MSG(t >= now_, "cannot schedule into the past");
-    const std::uint32_t slot = TakeSlot();
-    Task& task = actions_[slot];
-    std::destroy_at(&task);  // a free slot holds an empty Task
-    std::construct_at(&task, std::forward<F>(action));
-    WEBCC_CHECK_MSG(static_cast<bool>(task), "null action");
+    const std::uint32_t slot = Emplace(std::forward<F>(action));
     Push(Record{t, next_seq_++, slot});
   }
 
@@ -52,6 +54,20 @@ class Simulator {
   void After(Time delay, F&& action) {
     WEBCC_CHECK_MSG(delay >= 0, "negative delay");
     At(now_ + delay, std::forward<F>(action));
+  }
+
+  // After() for a caller whose every event has the same delay: the event
+  // waits in the FIFO lane instead of the heap. Runs in exactly the order
+  // After() would give it. An event due before the lane's last one is
+  // refused, so mixing delays on the lane fails loudly.
+  template <typename F>
+  void AfterFixed(Time delay, F&& action) {
+    WEBCC_CHECK_MSG(delay >= 0, "negative delay");
+    const Time t = now_ + delay;
+    WEBCC_CHECK_MSG(lane_size_ == 0 || t >= LaneAt(lane_size_ - 1).at,
+                    "fixed-delay event due before the lane's last one");
+    const std::uint32_t slot = Emplace(std::forward<F>(action));
+    PushLane(Record{t, next_seq_++, slot});
   }
 
   // Runs the earliest event; returns false when the queue is empty.
@@ -64,7 +80,8 @@ class Simulator {
   // even if the queue still holds later events.
   void RunUntil(Time t);
 
-  std::size_t pending() const { return heap_.size(); }
+  // Events waiting, in the heap and the lane together.
+  std::size_t pending() const { return heap_.size() + lane_size_; }
   std::uint64_t executed() const { return executed_; }
   // Largest number of simultaneously pending events so far.
   std::size_t peak_pending() const { return peak_pending_; }
@@ -85,7 +102,27 @@ class Simulator {
     free_slots_.pop_back();
     return slot;
   }
+  // Builds the Task for `action` in a free slab slot; returns the slot.
+  template <typename F>
+  std::uint32_t Emplace(F&& action) {
+    const std::uint32_t slot = TakeSlot();
+    Task& task = actions_[slot];
+    std::destroy_at(&task);  // a free slot holds an empty Task
+    std::construct_at(&task, std::forward<F>(action));
+    WEBCC_CHECK_MSG(static_cast<bool>(task), "null action");
+    return slot;
+  }
   void Push(Record record);
+  void PushLane(Record record);
+  Record PopHeap();
+  Record PopLane();
+  // The lane's i-th record from its head.
+  const Record& LaneAt(std::size_t i) const {
+    return lane_[(lane_head_ + i) & (lane_.size() - 1)];
+  }
+  void NotePending() {
+    if (pending() > peak_pending_) peak_pending_ = pending();
+  }
 
   static bool Earlier(const Record& a, const Record& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
@@ -98,6 +135,11 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::size_t peak_pending_ = 0;
   std::vector<Record> heap_;   // 4-ary min-heap by (at, seq)
+  // Ring of AfterFixed records in (at, seq) order; its size is 0 or a
+  // power of two.
+  std::vector<Record> lane_;
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
   std::vector<Task> actions_;  // slab; empty Tasks are free slots
   std::vector<std::uint32_t> free_slots_;
 };

@@ -396,6 +396,35 @@ TEST(ProxyCache, UnknownIdsMatchNothing) {
   probe();
 }
 
+TEST(ProxyCache, Tier2HitEvictedByItsOwnPromotionIsAMiss) {
+  // Expired-first with tier 2 on: /a is demoted while still fresh, has
+  // expired by the time it is hit, and the hit promotes it. The promotion
+  // overshoots tier 1, and the expired-first rule picks /a itself as the
+  // victim. Its slot is freed, so the lookup must report a miss.
+  TierConfig tier;
+  tier.tier2_capacity_bytes = 10000;
+  tier.promotion_hits = 1;
+  tier.demotion_pressure = 1.0;
+  ProxyCache cache(1000, ReplacementPolicy::kExpiredFirstLru, tier);
+  cache.Insert(MakeEntry("/a", 400, /*ttl_expires=*/100), 0);
+  cache.Insert(MakeEntry("/b", 400), 1);
+  cache.Insert(MakeEntry("/c", 400), 2);  // demotes /a, the LRU tail
+  ASSERT_EQ(cache.tier2_entry_count(), 1u);
+  ASSERT_NE(PeekKey(cache, Key("/a")), nullptr);
+
+  EXPECT_EQ(cache.Lookup(Key("/a"), 200), nullptr);
+  EXPECT_EQ(cache.stats().tier2_promotions, 1u);
+  EXPECT_EQ(cache.stats().expired_evictions, 1u);
+  EXPECT_EQ(PeekKey(cache, Key("/a")), nullptr);
+  EXPECT_EQ(cache.entry_count(), 2u);
+  EXPECT_EQ(cache.tier1_bytes_used(), 800u);
+  EXPECT_EQ(cache.tier2_bytes_used(), 0u);
+  // The freed slot takes the next entry.
+  cache.Insert(MakeEntry("/d", 100), 201);
+  EXPECT_NE(PeekKey(cache, Key("/d")), nullptr);
+  EXPECT_EQ(cache.entry_count(), 3u);
+}
+
 TEST(ProxyCache, ZeroSizeEntriesAllowed) {
   ProxyCache cache(100, ReplacementPolicy::kLru);
   cache.Insert(MakeEntry("/empty", 0), 0);

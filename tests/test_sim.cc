@@ -97,8 +97,9 @@ TEST(Simulator, CountsExecutedEvents) {
   EXPECT_EQ(sim.executed(), 7u);
 }
 
-// Random interleavings of At, After, Step and RunUntil, with many equal
-// timestamps, events that schedule more events, and captures both inline
+// Random interleavings of At, After, AfterFixed, Step and RunUntil, with
+// many equal timestamps (lane and heap events share them), events that
+// schedule more events (lane events among them), and captures both inline
 // and too large for sim::Task's inline storage. (at, seq) is a total order
 // and no event may be scheduled before now(), so the events must run in
 // exactly the order a sort of everything scheduled by (at, seq) gives.
@@ -112,25 +113,44 @@ TEST(Simulator, RandomScheduleRunsInAtSeqOrder) {
   util::Rng rng(17);
   std::vector<Key> scheduled;
   std::vector<Key> ran;
-  // Small delays from a short list, so most timestamps collide.
+  std::size_t lane_events = 0;
+  // Small delays from a short list, so most timestamps collide; the lane's
+  // fixed delay is one of them.
+  static constexpr Time kFixedDelay = 5;
   const auto delay = [&rng] {
-    static constexpr Time kDelays[] = {0, 0, 0, 1, 1, 5, 40};
+    static constexpr Time kDelays[] = {0, 0, 0, 1, 1, kFixedDelay, 40};
     return kDelays[rng.NextBelow(std::size(kDelays))];
   };
   std::function<void()> schedule_one = [&] {
-    const Key key{sim.now() + delay(), scheduled.size()};
+    // 0: At, inline; 1: After, heap-held; 2: AfterFixed, inline;
+    // 3: AfterFixed, heap-held.
+    const std::uint64_t kind = rng.NextBelow(4);
+    const Key key{sim.now() + (kind >= 2 ? kFixedDelay : delay()),
+                  scheduled.size()};
     scheduled.push_back(key);
     const auto record = [&, key] {
       EXPECT_EQ(sim.now(), key.at);
       ran.push_back(key);
       if (rng.NextBelow(3) == 0) schedule_one();  // from inside an event
     };
-    if (rng.NextBelow(2) == 0) {
-      sim.At(key.at, record);
-    } else {
-      // The same event with a capture no inline storage holds.
-      std::array<char, 2 * Task::kInlineBytes> ballast{};
-      sim.After(key.at - sim.now(), [record, ballast] { record(); });
+    // The same event with a capture no inline storage holds.
+    std::array<char, 2 * Task::kInlineBytes> ballast{};
+    const auto heavy = [record, ballast] { record(); };
+    switch (kind) {
+      case 0:
+        sim.At(key.at, record);
+        break;
+      case 1:
+        sim.After(key.at - sim.now(), heavy);
+        break;
+      case 2:
+        ++lane_events;
+        sim.AfterFixed(kFixedDelay, record);
+        break;
+      default:
+        ++lane_events;
+        sim.AfterFixed(kFixedDelay, heavy);
+        break;
     }
   };
   for (int round = 0; round < 3000; ++round) {
@@ -150,6 +170,7 @@ TEST(Simulator, RandomScheduleRunsInAtSeqOrder) {
   sim.Run();
   ASSERT_EQ(ran.size(), scheduled.size());
   EXPECT_GT(sim.peak_pending(), 10u);
+  EXPECT_GT(lane_events, scheduled.size() / 3);
   std::vector<Key> expected = scheduled;
   std::sort(expected.begin(), expected.end(), [](const Key& a, const Key& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
@@ -157,9 +178,42 @@ TEST(Simulator, RandomScheduleRunsInAtSeqOrder) {
   EXPECT_TRUE(ran == expected);
 }
 
+// pending() and peak_pending() count the heap and the FIFO lane together,
+// the figures a single heap holding every event would give.
+TEST(Simulator, PendingCountsHeapAndLane) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.At(10, [&] { order.push_back(1); });
+  sim.AfterFixed(20, [&] { order.push_back(2); });
+  sim.AfterFixed(20, [&] { order.push_back(3); });
+  sim.After(20, [&] { order.push_back(4); });  // same time, scheduled later
+  EXPECT_EQ(sim.pending(), 4u);
+  EXPECT_EQ(sim.peak_pending(), 4u);
+  ASSERT_TRUE(sim.Step());
+  ASSERT_TRUE(sim.Step());
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.AfterFixed(20, [&] { order.push_back(5); });  // due at 40
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.RunUntil(35);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.now(), 35);
+  sim.Run();
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.peak_pending(), 4u);
+  EXPECT_EQ(sim.executed(), 5u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(SimulatorDeathTest, AfterFixedRefusesAnEventDueBeforeTheLanesLast) {
+  Simulator sim;
+  sim.AfterFixed(10, [] {});
+  EXPECT_DEATH(sim.AfterFixed(5, [] {}), "due before the lane");
+}
+
 // Destroying a simulator destroys each action exactly once: those that ran
 // (when they ran) and those still pending (with the simulator), inline and
-// heap-held alike. The sanitizer builds also check that nothing leaks.
+// heap-held alike, in the heap and in the FIFO lane. The sanitizer builds
+// also check that nothing leaks.
 TEST(Simulator, DestructionDestroysEachActionOnce) {
   // Move-only token: only the instance that owns the id reports it.
   struct Token {
@@ -176,23 +230,35 @@ TEST(Simulator, DestructionDestroysEachActionOnce) {
       if (owner) destroyed->push_back(id);
     }
   };
-  constexpr int kActions = 200;
+  // Ids below kHeapActions go to the heap, the rest to the lane; each half
+  // is due at times 0..9, so RunUntil(4) runs half of each.
+  constexpr int kHeapActions = 200;
+  constexpr int kActions = 300;
   std::vector<int> destroyed;
   int ran = 0;
   {
     Simulator sim;
     for (int id = 0; id < kActions; ++id) {
-      const Time at = id % 10;
+      const bool lane = id >= kHeapActions;
+      const Time at = lane ? (id - kHeapActions) / 10 : id % 10;
+      const auto schedule = [&sim, lane, at](auto action) {
+        if (lane) {
+          sim.AfterFixed(at, std::move(action));  // now() is 0
+        } else {
+          sim.At(at, std::move(action));
+        }
+      };
       if (id % 2 == 0) {
-        sim.At(at, [token = Token(&destroyed, id), &ran] { ++ran; });
+        schedule([token = Token(&destroyed, id), &ran] { ++ran; });
       } else {
         std::array<char, 2 * Task::kInlineBytes> ballast{};
-        sim.At(at, [token = Token(&destroyed, id), ballast, &ran] { ++ran; });
+        schedule([token = Token(&destroyed, id), ballast, &ran] { ++ran; });
       }
     }
     sim.RunUntil(4);  // half run; the rest are still pending
     EXPECT_EQ(ran, kActions / 2);
     EXPECT_EQ(destroyed.size(), static_cast<std::size_t>(kActions / 2));
+    EXPECT_EQ(sim.pending(), static_cast<std::size_t>(kActions / 2));
   }
   std::sort(destroyed.begin(), destroyed.end());
   std::vector<int> each(kActions);
