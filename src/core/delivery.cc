@@ -1,28 +1,37 @@
 #include "core/delivery.h"
 
+#include <algorithm>
+
 #include "core/lease.h"
 
 namespace webcc::core {
 
+std::vector<WriteDelivery::Target>::iterator WriteDelivery::LowerBound(
+    SiteId site) {
+  return std::lower_bound(
+      targets_.begin(), targets_.end(), site,
+      [](const Target& target, SiteId id) { return target.site < id; });
+}
+
 void WriteDelivery::AddTarget(SiteId site, Time lease_until) {
-  auto [it, inserted] = targets_.try_emplace(site);
-  if (inserted) {
-    it->second.lease_until = lease_until;
+  const auto it = LowerBound(site);
+  if (it == targets_.end() || it->site != site) {
+    targets_.insert(it, Target{lease_until, site, false});
     ++outstanding_;
     return;
   }
-  if (it->second.resolved) return;  // already settled; nothing to extend
+  if (it->resolved) return;  // already settled; nothing to extend
   // Keep the later expiry: the site re-registered with a fresher lease.
-  if (it->second.lease_until != net::kNoLease &&
-      (lease_until == net::kNoLease || lease_until > it->second.lease_until)) {
-    it->second.lease_until = lease_until;
+  if (it->lease_until != net::kNoLease &&
+      (lease_until == net::kNoLease || lease_until > it->lease_until)) {
+    it->lease_until = lease_until;
   }
 }
 
 bool WriteDelivery::Resolve(SiteId site, bool by_expiry) {
-  const auto it = targets_.find(site);
-  if (it == targets_.end() || it->second.resolved) return false;
-  it->second.resolved = true;
+  const auto it = LowerBound(site);
+  if (it == targets_.end() || it->site != site || it->resolved) return false;
+  it->resolved = true;
   if (by_expiry) any_expired_ = true;
   --outstanding_;
   return outstanding_ == 0;
@@ -38,7 +47,7 @@ bool WriteDelivery::MarkDead(SiteId site) {
 
 bool WriteDelivery::ExpireLeases(Time now) {
   bool resolved_all = false;
-  for (auto& [site, target] : targets_) {
+  for (Target& target : targets_) {
     if (target.resolved) continue;
     if (!LeaseActive(target.lease_until, now)) {
       target.resolved = true;
@@ -58,7 +67,7 @@ WriteDelivery::Completion WriteDelivery::completion() const {
 
 Time WriteDelivery::NextExpiry() const {
   Time next = net::kNoLease;
-  for (const auto& [site, target] : targets_) {
+  for (const Target& target : targets_) {
     if (target.resolved || target.lease_until == net::kNoLease) continue;
     if (next == net::kNoLease || target.lease_until < next) {
       next = target.lease_until;

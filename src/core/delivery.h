@@ -11,10 +11,11 @@
 // bookkeeping — no I/O, no clocks of its own — so the replay engine and the
 // live stack drive the identical machine from their own event loops, and
 // the fault harness can assert on it directly. Targets are site ids in the
-// run's core::IdSpace, kept in a sorted map so iteration is deterministic.
+// run's core::IdSpace, kept in a vector sorted by site id so iteration is
+// deterministic and a target costs no heap node of its own.
 #pragma once
 
-#include <map>
+#include <vector>
 
 #include "core/id_space.h"
 #include "net/message.h"
@@ -36,6 +37,9 @@ class WriteDelivery {
   // waits for this ack forever, the leaseless Section 4 behaviour).
   // Re-adding an existing unresolved site keeps the later expiry.
   void AddTarget(SiteId site, Time lease_until);
+
+  // Sizes the target list for `targets` AddTarget calls up front.
+  void Reserve(std::size_t targets) { targets_.reserve(targets); }
 
   // The site acknowledged its invalidation. Idempotent; unknown sites are
   // ignored (a duplicated datagram may ack twice). Returns true when this
@@ -67,12 +71,15 @@ class WriteDelivery {
  private:
   struct Target {
     Time lease_until = net::kNoLease;
+    SiteId site = kNoInternId;
     bool resolved = false;
   };
 
+  // The target for `site`, or where it would be inserted.
+  std::vector<Target>::iterator LowerBound(SiteId site);
   bool Resolve(SiteId site, bool by_expiry);
 
-  std::map<SiteId, Target> targets_;
+  std::vector<Target> targets_;  // sorted by site
   int outstanding_ = 0;
   bool any_expired_ = false;
 };

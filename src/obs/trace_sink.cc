@@ -36,10 +36,9 @@ void AppendJsonEscaped(std::string& out, std::string_view s) {
 }
 
 std::uint32_t JsonlTraceSink::InternLocked(std::string_view s) {
-  const auto it = interns_.find(s);
-  if (it != interns_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(interns_.size());
-  interns_.emplace(std::string(s), id);
+  const std::size_t known = interns_.size();
+  const core::InternId id = interns_.Intern(s);
+  if (interns_.size() == known) return id;
   std::string line = "{\"e\":\"intern\",\"id\":";
   line += std::to_string(id);
   line += ",\"n\":\"";
@@ -49,12 +48,10 @@ std::uint32_t JsonlTraceSink::InternLocked(std::string_view s) {
   return id;
 }
 
-void JsonlTraceSink::ResetInternsLocked() { interns_.clear(); }
-
 void JsonlTraceSink::Emit(const TraceEvent& event) {
   const util::MutexLock lock(mu_);
   // Each run interns from scratch so concatenated streams self-describe.
-  if (event.type == EventType::kRunBegin) ResetInternsLocked();
+  if (event.type == EventType::kRunBegin) interns_ = core::Interner();
 
   // Intern first: the id-definition lines precede the event that uses them.
   std::uint32_t url_id = 0, site_id = 0;

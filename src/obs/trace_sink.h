@@ -28,8 +28,8 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
+#include "core/id_space.h"
 #include "obs/event.h"
 #include "util/thread_annotations.h"
 
@@ -81,31 +81,16 @@ class JsonlTraceSink final : public TraceSink {
   std::uint64_t events_written() const;
 
  private:
-  // Interns under mu_ (already held by Emit).
+  // Interns under mu_ (already held by Emit), writing the intern line on
+  // first sight.
   std::uint32_t InternLocked(std::string_view s) WEBCC_REQUIRES(mu_);
-  void ResetInternsLocked() WEBCC_REQUIRES(mu_);
-
-  // Heterogeneous lookup: Emit interns string_views without materializing
-  // a std::string except on first sighting.
-  struct SvHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct SvEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const {
-      return a == b;
-    }
-  };
 
   mutable util::Mutex mu_;
   // The stream pointer itself is const after construction, but all writes
   // through it serialize under mu_ (pt_guarded_by covers the pointee).
   std::ostream* const out_ WEBCC_PT_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::uint32_t, SvHash, SvEq> interns_
-      WEBCC_GUARDED_BY(mu_);
+  // URLs and sites share one namespace, restarted at every kRunBegin.
+  core::Interner interns_ WEBCC_GUARDED_BY(mu_);
   std::uint64_t events_written_ WEBCC_GUARDED_BY(mu_) = 0;
 };
 

@@ -79,6 +79,7 @@ void Engine::FanOutInvalidations(
   pending.doc = doc;
   pending.started_trace = trace_time;
   pending.started_wall = sim_.now();
+  pending.delivery.Reserve(invalidations.size());
   for (const net::DocInvalidation& invalidation : invalidations) {
     pending.delivery.AddTarget(invalidation.site, invalidation.lease_until);
   }

@@ -6,8 +6,8 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <unordered_map>
 
+#include "core/id_space.h"
 #include "util/check.h"
 
 namespace webcc::trace {
@@ -62,21 +62,6 @@ bool TakeInt(std::string_view s, std::size_t& pos, std::int64_t& out) {
   out = negative ? -value : value;
   return true;
 }
-
-// Heterogeneous string_view lookups into the string-keyed indices, so the
-// per-line loop only materializes a std::string for first sightings.
-struct SvHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-struct SvEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const {
-    return a == b;
-  }
-};
 
 // Counts newlines ahead of the read position without consuming the stream;
 // returns 0 when the stream is not seekable (pipes). Sizes the record
@@ -185,8 +170,9 @@ Trace ReadClf(std::istream& in, std::string trace_name, ClfParseStats* stats) {
   Trace trace;
   trace.name = std::move(trace_name);
 
-  std::unordered_map<std::string, DocId, SvHash, SvEq> doc_index;
-  std::unordered_map<std::string, ClientId, SvHash, SvEq> client_index;
+  // Names to trace indices: a first sighting's id is the next index.
+  core::Interner doc_index;
+  core::Interner client_index;
   std::int64_t first_seconds = -1;
 
   // One reservation sized from a newline-counting pre-pass (seekable
@@ -211,33 +197,25 @@ Trace ReadClf(std::istream& in, std::string trace_name, ClfParseStats* stats) {
     ++local.accepted;
     if (first_seconds < 0) first_seconds = parsed.unix_seconds;
 
-    auto doc_it = doc_index.find(parsed.path);
-    if (doc_it == doc_index.end()) {
-      doc_it = doc_index
-                   .emplace(std::string(parsed.path),
-                            static_cast<DocId>(trace.documents.size()))
-                   .first;
+    const DocId doc = doc_index.Intern(parsed.path);
+    if (doc == trace.documents.size()) {
       trace.documents.push_back(DocumentInfo{std::string(parsed.path), 0});
     }
     if (parsed.bytes > 0) {
-      auto& size = trace.documents[doc_it->second].size_bytes;
+      auto& size = trace.documents[doc].size_bytes;
       size = std::max<std::uint64_t>(size,
                                      static_cast<std::uint64_t>(parsed.bytes));
     }
 
-    auto client_it = client_index.find(parsed.host);
-    if (client_it == client_index.end()) {
-      client_it = client_index
-                      .emplace(std::string(parsed.host),
-                               static_cast<ClientId>(trace.clients.size()))
-                      .first;
+    const ClientId client = client_index.Intern(parsed.host);
+    if (client == trace.clients.size()) {
       trace.clients.push_back(std::string(parsed.host));
     }
 
     TraceRecord record;
     record.timestamp = (parsed.unix_seconds - first_seconds) * kSecond;
-    record.client = client_it->second;
-    record.doc = doc_it->second;
+    record.client = client;
+    record.doc = doc;
     trace.records.push_back(record);
   }
 

@@ -1,9 +1,10 @@
 #include "trace/summary.h"
 
 #include <algorithm>
-#include <string_view>
 #include <unordered_set>
 #include <vector>
+
+#include "core/id_space.h"
 
 namespace webcc::trace {
 
@@ -69,18 +70,19 @@ std::string ValidateTrace(const Trace& trace) {
   }
   // Each document and client index is an identity (the replay's id space
   // maps names to exactly these indices), so a repeated name would make two
-  // indices claim one name.
-  std::unordered_set<std::string_view> paths;
+  // indices claim one name. Interning in index order gives each name its
+  // own index unless it was already seen.
+  core::Interner paths;
   for (std::size_t d = 0; d < trace.documents.size(); ++d) {
     const std::string& path = trace.documents[d].path;
     if (path.empty()) return "document " + std::to_string(d) + ": empty path";
-    if (!paths.insert(path).second) {
+    if (paths.Intern(path) != d) {
       return "document " + std::to_string(d) + ": duplicate path " + path;
     }
   }
-  std::unordered_set<std::string_view> clients;
+  core::Interner clients;
   for (std::size_t c = 0; c < trace.clients.size(); ++c) {
-    if (!clients.insert(trace.clients[c]).second) {
+    if (clients.Intern(trace.clients[c]) != c) {
       return "client " + std::to_string(c) + ": duplicate id " +
              trace.clients[c];
     }

@@ -18,7 +18,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string_view>
 
+#include "core/id_space.h"
 #include "replay/engine.h"
 #include "replay/experiments.h"
 #include "synth/generate.h"
@@ -76,20 +78,19 @@ double AllocationsPerRequest(const ReplayConfig& config) {
   return per_request;
 }
 
-// Measured with the flat hot path: 1.32 allocations per request on the
-// ClarkNet cell and 1.62 on the write-heavy scenario (6.1 and 8.2 before it,
-// 17.6 and 22.3 when every layer rebuilt and re-interned strings). No
-// per-request allocation remains: every hot-path capture fits sim::Task's
-// inline storage, every reliable-send completion fits its callback's, the
-// event heap, its FIFO lane and the proxy cache reuse freed slots, and
-// their indexes grow only to the run's peak. What is counted, sampled by
-// call site on the write-heavy cell: per-run setup (the id space's names,
-// the document store, the per-client record slices; about 0.75 per
-// request), growth of the accelerator's per-URL site lists (about 0.35),
-// and one WriteDelivery map node per invalidation target (about 0.38: 2282
-// over 198 writes). The ceilings are those figures plus 25%.
-constexpr double kClarkNetCeiling = 1.65;
-constexpr double kWriteHeavyCeiling = 2.03;
+// Measured: 0.78 allocations per request on the ClarkNet cell and 0.67 on
+// the write-heavy scenario. No per-request allocation remains: every
+// hot-path capture fits sim::Task's inline storage, every reliable-send
+// completion fits its callback's, the event heap, its FIFO lane and the
+// proxy cache reuse freed slots, and their indexes grow only to the run's
+// peak. The largest shares, sampled by call site on the write-heavy cell:
+// growth of the accelerator's per-URL site lists (about 0.35 per request),
+// per-run setup (the document store about 0.11, the id space's name blocks
+// and bucket arrays about 0.03), and about four per write (the fan-out
+// list, its WriteDelivery target vector, the pending-write entry, the site
+// snapshot; about 0.09). The ceilings are those figures plus 25%.
+constexpr double kClarkNetCeiling = 0.98;
+constexpr double kWriteHeavyCeiling = 0.84;
 
 TEST(AllocationBudget, ClarkNetInvalidationCell) {
   trace::WorkloadConfig workload =
@@ -124,6 +125,28 @@ TEST(AllocationBudget, WriteHeavySynthScenario) {
   config.explicit_modifications = workload.writes;
   config.suppress_generated_modifications = true;
   EXPECT_LE(AllocationsPerRequest(config), kWriteHeavyCeiling);
+}
+
+// The id space's own cost: a short name lives inside its std::string, so
+// interning allocates only the name deque's blocks and the bucket array's
+// doublings. A node-based map allocated at least once per name.
+TEST(AllocationBudget, InterningShortNamesAllocatesPerBlockNotPerName) {
+  constexpr int kNames = 100000;
+  const std::uint64_t before = g_allocations.load();
+  {
+    core::Interner interner;
+    char name[16];
+    for (int i = 0; i < kNames; ++i) {
+      const int length =
+          std::snprintf(name, sizeof(name), "10.0.%d.%d", i / 256, i % 256);
+      interner.Intern(std::string_view(name, static_cast<std::size_t>(length)));
+    }
+    EXPECT_EQ(interner.size(), static_cast<std::size_t>(kNames));
+  }
+  const double per_name =
+      static_cast<double>(g_allocations.load() - before) / kNames;
+  std::printf("allocations/name: %.3f\n", per_name);
+  EXPECT_LE(per_name, 0.1);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "core/accelerator.h"
 #include "core/adaptive_ttl.h"
+#include "core/delivery.h"
 #include "core/invalidation_table.h"
 #include "core/lease.h"
 #include "core/site_registry.h"
@@ -492,6 +493,48 @@ TEST_F(AcceleratorTest, TwoTierLeaseStampedIntoReply) {
 // Every enumerator must map to a real display name: "?" is the
 // switch-fell-through sentinel, and duplicates would make CLI output and
 // metric prefixes ambiguous.
+// --- write delivery ---------------------------------------------------------------
+
+TEST(WriteDelivery, OutOfOrderAndRepeatedTargetsResolveBySite) {
+  WriteDelivery delivery;
+  delivery.Reserve(3);
+  delivery.AddTarget(7, 300);
+  delivery.AddTarget(3, 100);
+  delivery.AddTarget(5, net::kNoLease);
+  delivery.AddTarget(3, 250);  // re-registered: the later lease is kept
+  delivery.AddTarget(7, 200);  // an earlier lease does not shorten 300
+  EXPECT_EQ(delivery.total_targets(), 3);
+  EXPECT_EQ(delivery.outstanding(), 3);
+  EXPECT_EQ(delivery.NextExpiry(), 250);
+
+  EXPECT_FALSE(delivery.Ack(5));
+  EXPECT_FALSE(delivery.Ack(5));  // duplicate ack
+  EXPECT_FALSE(delivery.Ack(4));  // never a target
+  EXPECT_FALSE(delivery.MarkDead(3));
+  EXPECT_EQ(delivery.outstanding(), 1);
+  // Resolved sites are not reopened or extended by a late registration.
+  delivery.AddTarget(3, 1000);
+  delivery.AddTarget(5, net::kNoLease);
+  EXPECT_EQ(delivery.total_targets(), 3);
+  EXPECT_EQ(delivery.outstanding(), 1);
+  EXPECT_EQ(delivery.NextExpiry(), 300);
+
+  EXPECT_FALSE(delivery.ExpireLeases(299));
+  EXPECT_EQ(delivery.completion(), WriteDelivery::Completion::kPending);
+  EXPECT_TRUE(delivery.ExpireLeases(300));
+  EXPECT_TRUE(delivery.complete());
+  EXPECT_EQ(delivery.NextExpiry(), net::kNoLease);
+  EXPECT_EQ(delivery.completion(), WriteDelivery::Completion::kLeasesExpired);
+
+  WriteDelivery acked;
+  for (const SiteId site : {9u, 2u, 4u, 2u}) acked.AddTarget(site, 50);
+  EXPECT_EQ(acked.total_targets(), 3);
+  EXPECT_FALSE(acked.Ack(4));
+  EXPECT_FALSE(acked.Ack(9));
+  EXPECT_TRUE(acked.Ack(2));
+  EXPECT_EQ(acked.completion(), WriteDelivery::Completion::kAllAcked);
+}
+
 TEST(PolicyNames, ProtocolToStringIsExhaustiveAndDistinct) {
   constexpr Protocol kAll[] = {
       Protocol::kAdaptiveTtl, Protocol::kPollEveryTime, Protocol::kInvalidation,

@@ -163,6 +163,67 @@ TEST(Interner, RoundTripsIdsAndNames) {
   EXPECT_EQ(interner.size(), 2u);
 }
 
+TEST(Interner, FindNeverGrowsTheTable) {
+  core::Interner interner;
+  EXPECT_EQ(interner.Find("/a"), core::kNoInternId);  // empty interner
+  EXPECT_EQ(interner.size(), 0u);
+  interner.Intern("/a");
+  EXPECT_EQ(interner.Find("/b"), core::kNoInternId);  // never seen
+  EXPECT_EQ(interner.Find(""), core::kNoInternId);
+  EXPECT_EQ(interner.size(), 1u);
+}
+
+TEST(Interner, EmptyStringIsAName) {
+  core::Interner interner;
+  const core::InternId a = interner.Intern("a");
+  const core::InternId empty = interner.Intern("");
+  EXPECT_NE(empty, a);
+  EXPECT_EQ(interner.Intern(""), empty);
+  EXPECT_EQ(interner.Find(""), empty);
+  EXPECT_EQ(interner.NameOf(empty), "");
+  EXPECT_EQ(interner.size(), 2u);
+}
+
+TEST(Interner, NearNamesGetDistinctIds) {
+  // Shared prefixes, names that are prefixes of others, and names that
+  // differ only in their last byte.
+  const std::vector<std::string> names = {
+      "/doc",      "/doc/",     "/doc/a",    "/doc/b",
+      "/doc/ab",   "/doc/aa",   "10.0.0.1",  "10.0.0.10",
+      "10.0.0.2",  "10.0.0.9",  std::string("x\0", 1),
+      std::string("x\0y", 3), std::string(40, 'q'),
+      std::string(40, 'q') + "r", std::string(39, 'q') + "r"};
+  core::Interner interner;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(interner.Intern(names[i]), i) << names[i];
+  }
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(interner.Find(names[i]), i) << names[i];
+    EXPECT_EQ(interner.NameOf(static_cast<core::InternId>(i)), names[i]);
+  }
+  EXPECT_EQ(interner.size(), names.size());
+}
+
+TEST(Interner, IdsStayFirstSightAndNamesStayPutOverManyGrowths) {
+  constexpr core::InternId kCount = 1u << 17;
+  core::Interner interner;
+  std::vector<const std::string*> addresses;
+  addresses.reserve(kCount);
+  for (core::InternId i = 0; i < kCount; ++i) {
+    // Every name is interned twice in a row: the repeat returns the first
+    // id, so ids stay dense in first-sight order.
+    const std::string name = "s" + std::to_string(i * 7919u % kCount);
+    ASSERT_EQ(interner.Intern(name), i);
+    ASSERT_EQ(interner.Intern(name), i);
+    addresses.push_back(&interner.NameOf(i));
+  }
+  ASSERT_EQ(interner.size(), kCount);
+  for (core::InternId i = 0; i < kCount; ++i) {
+    ASSERT_EQ(&interner.NameOf(i), addresses[i]);
+    ASSERT_EQ(interner.Find(*addresses[i]), i);
+  }
+}
+
 TEST(Interner, SurvivesIndexRehashAndStorageGrowth) {
   // Enough strings to force many rehashes of the id index and growth of
   // the name storage; every id and lookup must stay valid throughout

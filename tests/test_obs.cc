@@ -89,6 +89,32 @@ TEST(JsonlSink, InternScopeResetsAtRunBegin) {
   EXPECT_EQ(summary.undefined_ids, 0u);
 }
 
+TEST(JsonlSink, UrlsAndSitesShareOneNamespacePerRun) {
+  std::ostringstream out;
+  JsonlTraceSink sink(out);
+  sink.Emit({.type = EventType::kRunBegin, .at = 0});
+  sink.Emit({.type = EventType::kGetSent, .at = 1, .url = "x", .site = "x"});
+  sink.Emit({.type = EventType::kGetSent, .at = 2, .url = "/b", .site = "c"});
+  sink.Emit({.type = EventType::kImsSent, .at = 3, .url = "c", .site = "/b"});
+  sink.Emit({.type = EventType::kRunBegin, .at = 0});
+  sink.Emit({.type = EventType::kGetSent, .at = 4, .url = "/b", .site = "x"});
+  // A url and a site spelled alike share one intern line; the second run
+  // restarts at id 0 and re-emits the names it uses.
+  EXPECT_EQ(out.str(),
+            "{\"t\":0,\"e\":\"run_begin\"}\n"
+            "{\"e\":\"intern\",\"id\":0,\"n\":\"x\"}\n"
+            "{\"t\":1,\"e\":\"get_sent\",\"u\":0,\"s\":0}\n"
+            "{\"e\":\"intern\",\"id\":1,\"n\":\"/b\"}\n"
+            "{\"e\":\"intern\",\"id\":2,\"n\":\"c\"}\n"
+            "{\"t\":2,\"e\":\"get_sent\",\"u\":1,\"s\":2}\n"
+            "{\"t\":3,\"e\":\"ims_sent\",\"u\":2,\"s\":1}\n"
+            "{\"t\":0,\"e\":\"run_begin\"}\n"
+            "{\"e\":\"intern\",\"id\":0,\"n\":\"/b\"}\n"
+            "{\"e\":\"intern\",\"id\":1,\"n\":\"x\"}\n"
+            "{\"t\":4,\"e\":\"get_sent\",\"u\":0,\"s\":1}\n");
+  EXPECT_EQ(sink.events_written(), 6u);
+}
+
 TEST(JsonlSink, EscapesLabelStrings) {
   std::ostringstream out;
   JsonlTraceSink sink(out);
