@@ -2,19 +2,11 @@
 // underlying the replay engine and live prototype.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <list>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
-#include "http/eviction/expiry_heap.h"
-#include "obs/trace_sink.h"
 #include "core/accelerator.h"
 #include "core/analysis.h"
 #include "core/id_space.h"
@@ -32,6 +24,7 @@
 #include "util/rng.h"
 
 using namespace webcc;
+using webcc::http::eviction::EvictionPolicyKind;
 
 namespace {
 
@@ -89,188 +82,12 @@ http::CacheEntry MicroEntry(int i, Time ttl) {
   return entry;
 }
 
-void BM_ProxyCacheLookupHit(benchmark::State& state) {
-  http::ProxyCache cache(1 << 26, http::ReplacementPolicy::kLru);
-  for (int i = 0; i < 4096; ++i) cache.Insert(MicroEntry(i, 1 << 20), 0);
-  util::Rng rng(1);
-  for (auto _ : state) {
-    const std::string key = MicroKey(rng.NextBelow(4096));
-    benchmark::DoNotOptimize(cache.Lookup(key));
-  }
-}
-BENCHMARK(BM_ProxyCacheLookupHit);
-
-void BM_ProxyCacheInsertWithEviction(benchmark::State& state) {
-  // Cache holds 1024 entries; every insert evicts.
-  http::ProxyCache cache(4096 * 1024, http::ReplacementPolicy::kLru);
-  int i = 0;
-  for (auto _ : state) {
-    cache.Insert(MicroEntry(i++, 1 << 20), 0);
-  }
-}
-BENCHMARK(BM_ProxyCacheInsertWithEviction);
-
-void BM_ProxyCacheExpiredFirstEviction(benchmark::State& state) {
-  http::ProxyCache cache(4096 * 1024,
-                         http::ReplacementPolicy::kExpiredFirstLru);
-  int i = 0;
-  for (auto _ : state) {
-    // Half the entries are already expired at insertion time of later ones.
-    cache.Insert(MicroEntry(i, (i % 2 == 0) ? i : 1 << 30), i);
-    ++i;
-  }
-}
-BENCHMARK(BM_ProxyCacheExpiredFirstEviction);
-
-// --- eviction-kernel dispatch ------------------------------------------------------
-//
-// The eviction refactor replaced ProxyCache's two-value enum branch inside
-// EvictOne with a virtual PickVictim (plus OnInsert/OnHit/OnErase hooks).
-// LegacyInlinedCache replicates the pre-refactor cache structure for
-// structure — the same Interner tables, entry index, per-url index,
-// lazy-deletion ExpiryHeap, stats counters, and kEviction emission; only
-// the victim choice is the old inlined branch and the lifecycle hooks are
-// absent. Timing it against the kernel-backed ProxyCache on identical
-// streams therefore isolates the dispatch cost. The custom main() below
-// does the measured comparison, checks the victim sequences are identical
-// for the two legacy policies, and records the "cache_kernel" key in
-// BENCH_farm.json with the same ≤1% hot-path bar the consistency-kernel
-// refactor used.
-
-class LegacyInlinedCache {
- public:
-  struct Entry {
-    std::string key;
-    std::string url;
-    std::string owner;
-    std::uint64_t size_bytes = 0;
-    std::uint64_t version = 0;
-    Time ttl_expires = http::kNeverExpires;
-    std::uint64_t heap_stamp = 0;
-    core::InternId key_id = core::kNoInternId;
-    core::InternId url_id = core::kNoInternId;
-    bool heap_record_live = false;
-  };
-
-  LegacyInlinedCache(std::uint64_t capacity_bytes, bool expired_first)
-      : capacity_bytes_(capacity_bytes), expired_first_(expired_first) {}
-
-  Entry* Lookup(const std::string& key) {
-    const core::InternId id = keys_.Find(key);
-    if (id == core::kNoInternId) return nullptr;
-    const auto it = index_.find(id);
-    if (it == index_.end()) return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return &*it->second;
-  }
-
-  void Insert(Entry entry, Time now) {
-    entry.key_id = keys_.Intern(entry.key);
-    entry.url_id = urls_.Intern(entry.url);
-    EraseById(entry.key_id);
-    if (entry.size_bytes > capacity_bytes_) return;  // uncacheable
-    while (bytes_used_ + entry.size_bytes > capacity_bytes_) EvictOne(now);
-    entry.heap_stamp = next_stamp_++;
-    bytes_used_ += entry.size_bytes;
-    lru_.push_front(std::move(entry));
-    index_[lru_.front().key_id] = lru_.begin();
-    url_index_[lru_.front().url_id].push_back(lru_.front().key_id);
-    if (lru_.front().ttl_expires != http::kNeverExpires) {
-      ttl_heap_.Push(lru_.front().ttl_expires, lru_.front().heap_stamp,
-                     lru_.front().key_id);
-      lru_.front().heap_record_live = true;
-    }
-  }
-
-  void set_trace_sink(obs::TraceSink* sink) { trace_sink_ = sink; }
-
- private:
-  using LruList = std::list<Entry>;
-
-  // The pre-refactor EvictOne: the two-policy choice is an inlined branch
-  // over the same heap/index state the kernel's PickVictim reads.
-  void EvictOne(Time now) {
-    if (expired_first_) {
-      while (!ttl_heap_.empty()) {
-        const http::eviction::ExpiryRecord top = ttl_heap_.Top();
-        const auto it = index_.find(top.key);
-        const bool live =
-            it != index_.end() && it->second->heap_stamp == top.stamp;
-        if (!live) {
-          ttl_heap_.PopStale();
-          continue;
-        }
-        if (top.expires > now) break;
-        it->second->heap_record_live = false;
-        ttl_heap_.PopLive();
-        EvictEntry(it->second, now, /*expired_rule=*/true);
-        return;
-      }
-    }
-    EvictEntry(std::prev(lru_.end()), now, /*expired_rule=*/false);
-  }
-
-  void EvictEntry(LruList::iterator it, Time now, bool expired_rule) {
-    obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
-                            .at = now,
-                            .url = it->url,
-                            .site = it->owner,
-                            .detail = expired_rule ? 1 : 0});
-    RemoveEntry(it);
-  }
-
-  void EraseById(core::InternId key_id) {
-    const auto it = index_.find(key_id);
-    if (it != index_.end()) RemoveEntry(it->second);
-  }
-
-  void RemoveEntry(LruList::iterator it) {
-    if (it->heap_record_live) ttl_heap_.NoteStale();
-    const auto url_it = url_index_.find(it->url_id);
-    if (url_it != url_index_.end()) {
-      std::vector<core::InternId>& keys = url_it->second;
-      keys.erase(std::find(keys.begin(), keys.end(), it->key_id));
-      if (keys.empty()) url_index_.erase(url_it);
-    }
-    index_.erase(it->key_id);
-    bytes_used_ -= it->size_bytes;
-    lru_.erase(it);
-    ttl_heap_.CompactIfStale([this](const http::eviction::ExpiryRecord& r) {
-      const auto live_it = index_.find(r.key);
-      return live_it != index_.end() && live_it->second->heap_stamp == r.stamp;
-    });
-  }
-
-  std::uint64_t capacity_bytes_;
-  bool expired_first_;
-  std::uint64_t bytes_used_ = 0;
-  std::uint64_t next_stamp_ = 1;
-  core::Interner keys_;
-  core::Interner urls_;
-  LruList lru_;
-  std::unordered_map<core::InternId, LruList::iterator> index_;
-  std::unordered_map<core::InternId, std::vector<core::InternId>> url_index_;
-  http::eviction::ExpiryHeap ttl_heap_;
-  obs::TraceSink* trace_sink_ = nullptr;
-};
-
-LegacyInlinedCache::Entry LegacyEntry(int i, Time ttl) {
-  LegacyInlinedCache::Entry entry;
-  entry.key = MicroKey(i);
-  entry.url = "/doc" + std::to_string(i);
-  entry.owner = "c";
-  entry.size_bytes = 4096;
-  entry.version = 1;
-  entry.ttl_expires = ttl;
-  return entry;
-}
-
-// Insert stream shared by the timed comparison: 1024-entry capacity, every
-// insert evicts, every other entry already expired (the stream where the
-// expired-first branch actually runs).
+// Insert stream for BM_CacheInsertEvict: 1024-entry capacity, every insert
+// evicts, every other entry already expired (the stream where the
+// expired-first rule actually runs).
 Time StreamTtl(int i) { return (i % 2 == 0) ? Time(i) : Time(1) << 30; }
 
-template <http::ReplacementPolicy P>
+template <EvictionPolicyKind P>
 void BM_CacheInsertEvict(benchmark::State& state) {
   http::ProxyCache cache(4096 * 1024, P);
   int i = 0;
@@ -279,23 +96,12 @@ void BM_CacheInsertEvict(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK_TEMPLATE(BM_CacheInsertEvict, http::ReplacementPolicy::kLru);
-BENCHMARK_TEMPLATE(BM_CacheInsertEvict,
-                   http::ReplacementPolicy::kExpiredFirstLru);
-BENCHMARK_TEMPLATE(BM_CacheInsertEvict, http::ReplacementPolicy::kGds);
-
-void BM_CacheInsertEvictInlined(benchmark::State& state) {
-  LegacyInlinedCache cache(4096 * 1024, /*expired_first=*/true);
-  int i = 0;
-  for (auto _ : state) {
-    cache.Insert(LegacyEntry(i, StreamTtl(i)), i);
-    ++i;
-  }
-}
-BENCHMARK(BM_CacheInsertEvictInlined);
+BENCHMARK_TEMPLATE(BM_CacheInsertEvict, EvictionPolicyKind::kLru);
+BENCHMARK_TEMPLATE(BM_CacheInsertEvict, EvictionPolicyKind::kExpiredFirstLru);
+BENCHMARK_TEMPLATE(BM_CacheInsertEvict, EvictionPolicyKind::kGds);
 
 void BM_CacheLookupHit(benchmark::State& state) {
-  http::ProxyCache cache(1 << 26, http::ReplacementPolicy::kExpiredFirstLru);
+  http::ProxyCache cache(1 << 26, EvictionPolicyKind::kExpiredFirstLru);
   for (int i = 0; i < 4096; ++i) cache.Insert(MicroEntry(i, 1 << 20), 0);
   util::Rng rng(1);
   for (auto _ : state) {
@@ -304,17 +110,6 @@ void BM_CacheLookupHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheLookupHit);
-
-void BM_CacheLookupHitInlined(benchmark::State& state) {
-  LegacyInlinedCache cache(1 << 26, /*expired_first=*/true);
-  for (int i = 0; i < 4096; ++i) cache.Insert(LegacyEntry(i, 1 << 20), 0);
-  util::Rng rng(1);
-  for (auto _ : state) {
-    const std::string key = MicroKey(rng.NextBelow(4096));
-    benchmark::DoNotOptimize(cache.Lookup(key));
-  }
-}
-BENCHMARK(BM_CacheLookupHitInlined);
 
 // --- simulator ------------------------------------------------------------------------
 
@@ -495,238 +290,4 @@ void BM_AcceleratorRequestPath(benchmark::State& state) {
 }
 BENCHMARK(BM_AcceleratorRequestPath);
 
-// --- cache_kernel gate ---------------------------------------------------------------
-//
-// The measured (not sampled) version of the BM_CacheInsertEvict /
-// BM_CacheLookupHit pairs above: fixed-op-count streams through both caches,
-// victim sequences compared entry by entry, and the worst per-op delta
-// expressed against the replay hot path's per-request cost. Written to
-// BENCH_farm.json under "cache_kernel"; the exit code is the ≤1% bar.
-
-using GateClock = std::chrono::steady_clock;
-
-double GateMillisSince(GateClock::time_point start) {
-  return std::chrono::duration<double, std::milli>(GateClock::now() - start)
-      .count();
-}
-
-// Collects the urls of real evictions (oversize rejections, detail 2, never
-// name a victim; this stream produces none anyway).
-class VictimSink : public obs::TraceSink {
- public:
-  void Emit(const obs::TraceEvent& event) override {
-    if (event.type == obs::EventType::kEviction && event.detail != 2) {
-      victims_.emplace_back(event.url);
-    }
-  }
-  void WriteRaw(std::string_view) override {}
-  const std::vector<std::string>& victims() const { return victims_; }
-
- private:
-  std::vector<std::string> victims_;
-};
-
-constexpr std::size_t kGateInsertOps = std::size_t{1} << 18;
-constexpr std::size_t kGateLookupOps = std::size_t{1} << 21;
-
-struct StreamTiming {
-  double ns_per_op = 0.0;
-  std::vector<std::string> victims;  // insert streams only
-  std::uint64_t hits = 0;            // lookup streams only
-};
-
-// Each stream runs twice: an untimed pass with a recording sink for the
-// victim sequence, then a timed pass with tracing off (matching how the
-// replay uses the cache), so the sink's string materialization never lands
-// in the measured region.
-StreamTiming TimeKernelInserts(http::ReplacementPolicy policy) {
-  StreamTiming timing;
-  {
-    http::ProxyCache cache(4096 * 1024, policy);
-    VictimSink sink;
-    cache.set_trace_sink(&sink);
-    for (std::size_t i = 0; i < kGateInsertOps; ++i) {
-      const int n = static_cast<int>(i);
-      cache.Insert(MicroEntry(n, StreamTtl(n)), static_cast<Time>(i));
-    }
-    timing.victims = sink.victims();
-  }
-  http::ProxyCache cache(4096 * 1024, policy);
-  const auto start = GateClock::now();
-  for (std::size_t i = 0; i < kGateInsertOps; ++i) {
-    const int n = static_cast<int>(i);
-    cache.Insert(MicroEntry(n, StreamTtl(n)), static_cast<Time>(i));
-  }
-  timing.ns_per_op =
-      GateMillisSince(start) * 1e6 / static_cast<double>(kGateInsertOps);
-  return timing;
-}
-
-StreamTiming TimeInlinedInserts(bool expired_first) {
-  StreamTiming timing;
-  {
-    LegacyInlinedCache cache(4096 * 1024, expired_first);
-    VictimSink sink;
-    cache.set_trace_sink(&sink);
-    for (std::size_t i = 0; i < kGateInsertOps; ++i) {
-      const int n = static_cast<int>(i);
-      cache.Insert(LegacyEntry(n, StreamTtl(n)), static_cast<Time>(i));
-    }
-    timing.victims = sink.victims();
-  }
-  LegacyInlinedCache cache(4096 * 1024, expired_first);
-  const auto start = GateClock::now();
-  for (std::size_t i = 0; i < kGateInsertOps; ++i) {
-    const int n = static_cast<int>(i);
-    cache.Insert(LegacyEntry(n, StreamTtl(n)), static_cast<Time>(i));
-  }
-  timing.ns_per_op =
-      GateMillisSince(start) * 1e6 / static_cast<double>(kGateInsertOps);
-  return timing;
-}
-
-StreamTiming TimeKernelLookups() {
-  http::ProxyCache cache(1 << 26, http::ReplacementPolicy::kExpiredFirstLru);
-  for (int i = 0; i < 4096; ++i) cache.Insert(MicroEntry(i, 1 << 20), 0);
-  util::Rng rng(1);
-  StreamTiming timing;
-  const auto start = GateClock::now();
-  for (std::size_t i = 0; i < kGateLookupOps; ++i) {
-    const std::string key = MicroKey(rng.NextBelow(4096));
-    if (cache.Lookup(key) != nullptr) ++timing.hits;
-  }
-  timing.ns_per_op =
-      GateMillisSince(start) * 1e6 / static_cast<double>(kGateLookupOps);
-  return timing;
-}
-
-StreamTiming TimeInlinedLookups() {
-  LegacyInlinedCache cache(1 << 26, /*expired_first=*/true);
-  for (int i = 0; i < 4096; ++i) cache.Insert(LegacyEntry(i, 1 << 20), 0);
-  util::Rng rng(1);
-  StreamTiming timing;
-  const auto start = GateClock::now();
-  for (std::size_t i = 0; i < kGateLookupOps; ++i) {
-    const std::string key = MicroKey(rng.NextBelow(4096));
-    if (cache.Lookup(key) != nullptr) ++timing.hits;
-  }
-  timing.ns_per_op =
-      GateMillisSince(start) * 1e6 / static_cast<double>(kGateLookupOps);
-  return timing;
-}
-
-bool SameVictims(const std::vector<std::string>& kernel_urls,
-                 const std::vector<std::string>& inlined_urls) {
-  return kernel_urls == inlined_urls;
-}
-
-double ReplayNsPerRequest() {
-  const auto spec = replay::Table3Experiments()[0];
-  trace::WorkloadConfig small = trace::GetPreset(spec.trace).workload;
-  small.total_requests /= 50;
-  small.num_documents /= 10;
-  small.num_clients /= 10;
-  const trace::Trace trace = trace::GenerateTrace(small);
-  const replay::ReplayConfig config =
-      replay::MakeReplayConfig(spec, core::Protocol::kInvalidation, trace);
-  const auto start = GateClock::now();
-  const replay::ReplayMetrics metrics = replay::RunReplay(config);
-  return GateMillisSince(start) * 1e6 /
-         static_cast<double>(std::max<std::uint64_t>(
-             metrics.requests_issued, 1));
-}
-
-int RunCacheKernelGate() {
-  const StreamTiming inlined_lru = TimeInlinedInserts(/*expired_first=*/false);
-  const StreamTiming kernel_lru =
-      TimeKernelInserts(http::ReplacementPolicy::kLru);
-  const StreamTiming inlined_ef = TimeInlinedInserts(/*expired_first=*/true);
-  const StreamTiming kernel_ef =
-      TimeKernelInserts(http::ReplacementPolicy::kExpiredFirstLru);
-  const StreamTiming kernel_gds =
-      TimeKernelInserts(http::ReplacementPolicy::kGds);
-  const StreamTiming inlined_lookup = TimeInlinedLookups();
-  const StreamTiming kernel_lookup = TimeKernelLookups();
-
-  const bool lru_identical = SameVictims(kernel_lru.victims, inlined_lru.victims);
-  const bool ef_identical = SameVictims(kernel_ef.victims, inlined_ef.victims);
-  const bool lookups_identical =
-      kernel_lookup.hits == kGateLookupOps &&
-      inlined_lookup.hits == kGateLookupOps;
-
-  const double replay_ns = ReplayNsPerRequest();
-  const double insert_delta =
-      std::max(kernel_lru.ns_per_op - inlined_lru.ns_per_op,
-               kernel_ef.ns_per_op - inlined_ef.ns_per_op);
-  const double lookup_delta =
-      kernel_lookup.ns_per_op - inlined_lookup.ns_per_op;
-  const double worst_delta = std::max({insert_delta, lookup_delta, 0.0});
-  const double overhead_percent = 100.0 * worst_delta / replay_ns;
-
-  std::printf(
-      "\n=== cache_kernel gate (%zu inserts, %zu lookups per stream) ===\n"
-      "insert  lru:           inlined %.1f ns/op, kernel %.1f ns/op, "
-      "victims %s\n"
-      "insert  expired_first: inlined %.1f ns/op, kernel %.1f ns/op, "
-      "victims %s\n"
-      "insert  gds:           kernel %.1f ns/op (no pre-refactor twin)\n"
-      "lookup  hit:           inlined %.1f ns/op, kernel %.1f ns/op, "
-      "all-hit %s\n"
-      "replay hot path: %.0f ns/request -> worst-case dispatch overhead "
-      "%.4f%% (bar: <= 1%%)\n",
-      kGateInsertOps, kGateLookupOps, inlined_lru.ns_per_op,
-      kernel_lru.ns_per_op, lru_identical ? "identical" : "DIVERGED",
-      inlined_ef.ns_per_op, kernel_ef.ns_per_op,
-      ef_identical ? "identical" : "DIVERGED", kernel_gds.ns_per_op,
-      inlined_lookup.ns_per_op, kernel_lookup.ns_per_op,
-      lookups_identical ? "yes" : "NO", replay_ns, overhead_percent);
-
-  const bool pass = lru_identical && ef_identical && lookups_identical &&
-                    overhead_percent <= 1.0;
-
-  char json[1024];
-  std::snprintf(
-      json, sizeof(json),
-      "{\"bench\": \"cache_kernel\", \"insert_ops\": %zu, "
-      "\"lookup_ops\": %zu, \"insert\": ["
-      "{\"policy\": \"lru\", \"inlined_ns_per_op\": %.2f, "
-      "\"kernel_ns_per_op\": %.2f, \"victims_identical\": %s}, "
-      "{\"policy\": \"expired_first_lru\", \"inlined_ns_per_op\": %.2f, "
-      "\"kernel_ns_per_op\": %.2f, \"victims_identical\": %s}, "
-      "{\"policy\": \"gds\", \"kernel_ns_per_op\": %.2f}], "
-      "\"lookup\": {\"inlined_ns_per_op\": %.2f, \"kernel_ns_per_op\": %.2f, "
-      "\"all_hits\": %s}, \"replay_ns_per_request\": %.0f, "
-      "\"hot_path_overhead_percent\": %.4f, \"pass\": %s}",
-      kGateInsertOps, kGateLookupOps, inlined_lru.ns_per_op,
-      kernel_lru.ns_per_op, lru_identical ? "true" : "false",
-      inlined_ef.ns_per_op, kernel_ef.ns_per_op,
-      ef_identical ? "true" : "false", kernel_gds.ns_per_op,
-      inlined_lookup.ns_per_op, kernel_lookup.ns_per_op,
-      lookups_identical ? "true" : "false", replay_ns, overhead_percent,
-      pass ? "true" : "false");
-  bench::WriteBenchJsonKey("BENCH_farm.json", "cache_kernel", json);
-  return pass ? 0 : 1;
-}
-
 }  // namespace
-
-// Custom main (instead of benchmark_main): the sampled google-benchmark
-// suite runs first, then the measured cache_kernel gate decides the exit
-// code and records its BENCH_farm.json key. `--gate-only` skips the
-// sampled suite.
-int main(int argc, char** argv) {
-  bool gate_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--gate-only") {
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      gate_only = true;
-      break;
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  if (!gate_only) benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return RunCacheKernelGate();
-}

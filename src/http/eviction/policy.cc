@@ -1,9 +1,5 @@
 #include "http/eviction/policy.h"
 
-#include <string>
-
-#include "http/eviction/gds_policy.h"
-#include "http/eviction/lru_policy.h"
 #include "util/check.h"
 
 namespace webcc::http::eviction {
@@ -35,29 +31,5 @@ bool ParseEvictionPolicyKind(std::string_view name, EvictionPolicyKind& out) {
 }
 
 std::string_view ValidEvictionPolicyNames() { return "lru, expired-first, gds"; }
-
-void EvictionPolicy::ExportStats(obs::MetricsRegistry& registry,
-                                 std::string_view prefix) const {
-  const auto name = [&prefix](std::string_view leaf) {
-    std::string full(prefix);
-    full += leaf;
-    return full;
-  };
-  registry.SetCounter(name("policy_picks"), stats_.picks);
-  registry.SetCounter(name("policy_expired_picks"), stats_.expired_picks);
-}
-
-std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(EvictionPolicyKind kind) {
-  switch (kind) {
-    case EvictionPolicyKind::kLru:
-      return std::make_unique<LruPolicy>();
-    case EvictionPolicyKind::kExpiredFirstLru:
-      return std::make_unique<ExpiredFirstLruPolicy>();
-    case EvictionPolicyKind::kGds:
-      return std::make_unique<GdsPolicy>();
-  }
-  WEBCC_CHECK_MSG(false, "unknown EvictionPolicyKind");
-  return nullptr;
-}
 
 }  // namespace webcc::http::eviction

@@ -1,5 +1,6 @@
 #include "http/proxy_cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -8,11 +9,14 @@
 
 namespace webcc::http {
 
-ProxyCache::ProxyCache(std::uint64_t capacity_bytes, ReplacementPolicy policy,
-                       TierConfig tier, core::IdSpace* ids)
+using eviction::EvictionPolicyKind;
+
+ProxyCache::ProxyCache(std::uint64_t capacity_bytes,
+                       EvictionPolicyKind policy, TierConfig tier,
+                       core::IdSpace* ids)
     : capacity_bytes_(capacity_bytes),
       tier_(tier),
-      policy_(eviction::MakeEvictionPolicy(policy)),
+      policy_(policy),
       owned_ids_(ids == nullptr ? std::make_unique<core::IdSpace>() : nullptr),
       ids_(ids == nullptr ? owned_ids_.get() : ids) {}
 
@@ -115,7 +119,7 @@ CacheEntry* ProxyCache::Lookup(core::SiteId site, core::DocId doc, Time now) {
     }
   } else {
     MoveToFront(lru_, lru_, node);
-    policy_->OnHit(ViewOf(entry));
+    if (policy_ == EvictionPolicyKind::kGds) CreditGds(node);
   }
   return &entries_[node];
 }
@@ -142,7 +146,8 @@ void ProxyCache::PushTtlItem(CacheEntry& entry) {
 
 void ProxyCache::CompactTtlHeap() {
   ttl_heap_.CompactIfStale([this](const eviction::ExpiryRecord& r) {
-    return TtlRecordLive(r.key, r.stamp);
+    const NodeId node = index_.Find(r.key);
+    return node != kNil && entries_[node].heap_stamp_ == r.stamp;
   });
 }
 
@@ -184,7 +189,7 @@ void ProxyCache::Insert(CacheEntry entry, Time now) {
   bytes_used_ += entry.size_bytes;
   ++stats_.insertions;
   const NodeId node = Place(std::move(entry));
-  policy_->OnInsert(ViewOf(entries_[node]));
+  if (policy_ == EvictionPolicyKind::kGds) CreditGds(node);
 
   if (tier_.enabled()) {
     // Demote ahead of the hard limit so the next burst lands in headroom
@@ -215,6 +220,9 @@ ProxyCache::NodeId ProxyCache::Place(CacheEntry entry) {
     node = static_cast<NodeId>(entries_.size());
     entries_.push_back(std::move(entry));
     links_.emplace_back();
+    if (policy_ == EvictionPolicyKind::kGds) {
+      gds_credit_order_.push_back(kNoCredit);
+    }
   }
   const CacheEntry& placed = entries_[node];
   PushFront(ListOf(placed), node);
@@ -253,7 +261,7 @@ void ProxyCache::RemoveEntry(NodeId node) {
     tier2_bytes_used_ -= entry.size_bytes;
   } else {
     bytes_used_ -= entry.size_bytes;
-    policy_->OnErase(ViewOf(entry));
+    if (policy_ == EvictionPolicyKind::kGds) RetireGdsCredit(node);
   }
   Unlink(ListOf(entry), node);
   n.next = free_head_;
@@ -308,31 +316,70 @@ void ProxyCache::SetTtlExpiry(CacheEntry& entry, Time expires) {
   CompactTtlHeap();
 }
 
-ProxyCache::Key ProxyCache::LruTailKey() const {
-  return KeyOf(entries_[lru_.tail]);
+bool ProxyCache::CreditAbove(const GdsRecord& a, const GdsRecord& b) {
+  if (a.h != b.h) return a.h > b.h;
+  return a.order > b.order;
 }
 
-bool ProxyCache::TtlRecordLive(Key key, std::uint64_t stamp) const {
-  const NodeId node = index_.Find(key);
-  return node != kNil && entries_[node].heap_stamp_ == stamp;
+void ProxyCache::CreditGds(NodeId node) {
+  const double h =
+      gds_inflation_ + 1.0 / static_cast<double>(std::max<std::uint64_t>(
+                                 entries_[node].size_bytes, 1));
+  const std::uint64_t order = gds_next_order_++;
+  gds_credit_order_[node] = order;
+  gds_heap_.push_back(GdsRecord{h, order, node});
+  std::push_heap(gds_heap_.begin(), gds_heap_.end(), CreditAbove);
+  // Every re-credit leaks one stale record; rebuild once they outnumber the
+  // live ones, one per tier-1 entry (the TTL heap's compaction rule).
+  if (gds_heap_.size() >= 64 && gds_heap_.size() > 2 * lru_.size) {
+    const auto keep = std::remove_if(
+        gds_heap_.begin(), gds_heap_.end(), [this](const GdsRecord& r) {
+          return gds_credit_order_[r.node] != r.order;
+        });
+    gds_heap_.erase(keep, gds_heap_.end());
+    std::make_heap(gds_heap_.begin(), gds_heap_.end(), CreditAbove);
+  }
 }
 
-void ProxyCache::NoteTtlRecordConsumed(Key key) {
-  const NodeId node = index_.Find(key);
-  WEBCC_CHECK_MSG(node != kNil, "consuming a record with no entry");
-  entries_[node].heap_record_live_ = false;
-}
-
-bool ProxyCache::InEvictableTier(Key key) const {
-  const NodeId node = index_.Find(key);
-  return node != kNil && !entries_[node].tier2_;
+ProxyCache::Victim ProxyCache::PickVictim(Time now) {
+  switch (policy_) {
+    case EvictionPolicyKind::kLru:
+      break;
+    case EvictionPolicyKind::kExpiredFirstLru:
+      while (!ttl_heap_.empty()) {
+        const eviction::ExpiryRecord top = ttl_heap_.Top();
+        const NodeId node = index_.Find(top.key);
+        if (node == kNil || entries_[node].heap_stamp_ != top.stamp) {
+          ttl_heap_.PopStale();  // superseded by SetTtlExpiry or removed
+          continue;
+        }
+        if (top.expires > now) break;  // earliest expiry still fresh
+        // Expired but living in tier 2: not ours to evict (tier-2 cleanup
+        // reclaims it); fall back to LRU like the still-fresh case.
+        if (entries_[node].tier2_) break;
+        entries_[node].heap_record_live_ = false;  // record consumed
+        ttl_heap_.PopLive();
+        return Victim{node, /*expired_rule=*/true};
+      }
+      break;
+    case EvictionPolicyKind::kGds:
+      for (;;) {
+        // Every tier-1 entry has a live record, so the heap cannot run dry.
+        std::pop_heap(gds_heap_.begin(), gds_heap_.end(), CreditAbove);
+        const GdsRecord top = gds_heap_.back();
+        gds_heap_.pop_back();
+        if (gds_credit_order_[top.node] != top.order) continue;  // stale
+        gds_inflation_ = top.h;
+        return Victim{top.node, /*expired_rule=*/false};
+      }
+  }
+  return Victim{lru_.tail, /*expired_rule=*/false};
 }
 
 void ProxyCache::DisplaceOne(Time now) {
   WEBCC_CHECK_MSG(lru_.size > 0, "eviction from an empty cache");
-  const eviction::Victim victim = policy_->PickVictim(now, *this);
-  const NodeId node = index_.Find(victim.key);
-  WEBCC_CHECK_MSG(node != kNil, "policy picked a non-resident victim");
+  const Victim victim = PickVictim(now);
+  const NodeId node = victim.node;
 
   // Pressure demotes instead of evicting when the second tier can hold the
   // entry — except entries the expired-first rule chose: already-stale
@@ -340,7 +387,7 @@ void ProxyCache::DisplaceOne(Time now) {
   CacheEntry& entry = entries_[node];
   if (tier_.enabled() && !victim.expired_rule &&
       entry.size_bytes <= tier_.tier2_capacity_bytes) {
-    policy_->OnErase(ViewOf(entry));
+    if (policy_ == EvictionPolicyKind::kGds) RetireGdsCredit(node);
     bytes_used_ -= entry.size_bytes;
     entry.tier2_ = true;
     entry.tier2_hits_ = 0;
@@ -378,7 +425,7 @@ void ProxyCache::PromoteFromTier2(NodeId node, Time now) {
   tier2_bytes_used_ -= entry.size_bytes;
   bytes_used_ += entry.size_bytes;
   MoveToFront(tier2_lru_, lru_, node);
-  policy_->OnInsert(ViewOf(entry));
+  if (policy_ == EvictionPolicyKind::kGds) CreditGds(node);
   ++stats_.tier2_promotions;
   // The promotion may overshoot tier 1's budget; resolve like an insert
   // would (under LRU the promoted entry sits at the front, so it is never
@@ -423,7 +470,15 @@ void ProxyCache::ExportMetrics(obs::MetricsRegistry& registry,
                       stats_.tier2_expired_cleaned);
   registry.SetCounter(name("tier2_bytes_used"), tier2_bytes_used_);
   registry.SetCounter(name("tier2_entries"), tier2_lru_.size);
-  policy_->ExportStats(registry, prefix);
+  // Every victim PickVictim chose was either evicted from tier 1 or
+  // demoted, and the expired-first rule's victims are never demoted.
+  registry.SetCounter(name("policy_picks"),
+                      stats_.evictions - stats_.tier2_evictions +
+                          stats_.tier2_demotions);
+  registry.SetCounter(name("policy_expired_picks"), stats_.expired_evictions);
+  if (policy_ == EvictionPolicyKind::kGds) {
+    registry.SetGauge(name("gds_inflation"), gds_inflation_);
+  }
 }
 
 void ProxyCache::MarkAllQuestionable() {

@@ -4,14 +4,21 @@
 // pair, so one proxy process hosts many independent per-client caches
 // exactly as the paper does.
 //
-// Replacement is delegated to the eviction kernel (src/http/eviction/): the
-// cache owns all storage and indexes — the recency lists, the (site, doc)
-// entry index, and the TTL expiry heap — and an EvictionPolicy strategy
-// chooses every victim through the narrow EvictionHost view. Three policies
-// ship: plain LRU, Harvest's expired-first LRU (the paper traces its SASK
-// hit-ratio anomaly to this policy interacting with adaptive TTL's
-// conservative lifetimes — a freshly modified document gets a short TTL and
-// is evicted first despite being hot), and GreedyDual-Size.
+// The cache picks its own tier-1 victims (PickVictim) by the policy fixed at
+// construction. Three policies ship: plain LRU, Harvest's expired-first LRU
+// (the paper traces its SASK hit-ratio anomaly to this policy interacting
+// with adaptive TTL's conservative lifetimes — a freshly modified document
+// gets a short TTL and is evicted first despite being hot), and
+// GreedyDual-Size:
+//
+//   policy           PickVictim chooses                 state kept
+//   ---------------  --------------------------------   -----------------
+//   lru              the LRU-list tail                  none (the list)
+//   expired-first    earliest-expiring entry whose TTL  none (the TTL
+//                    has lapsed, else the LRU tail      expiry heap)
+//   gds              smallest GreedyDual-Size credit    per-slot credit
+//                    H = L + 1/size (inflation L)       order + a lazy
+//                                                       min-heap
 //
 // An optional second tier (TierConfig) absorbs tier-1 pressure: victims
 // that still fit the tier-2 budget are demoted instead of evicted, and a
@@ -32,7 +39,8 @@
 // most recently used) and its document's site list (insertion order, which
 // EraseByUrl follows). The (site, doc) -> slot index is an open-addressing
 // table: power-of-two size, Fibonacci hash, linear probing, backward-shift
-// erase. Freed slots are reused, so a cache in steady state allocates
+// erase. Under gds a third parallel vector holds each slot's GDS credit
+// order. Freed slots are reused, so a cache in steady state allocates
 // nothing. Slab growth moves entries: a CacheEntry* is valid only until the
 // next Insert or Erase.
 #pragma once
@@ -51,10 +59,6 @@
 #include "util/time.h"
 
 namespace webcc::http {
-
-// The historical name for the policy selector, kept as an alias now that
-// the enum lives in the eviction kernel.
-using ReplacementPolicy = eviction::EvictionPolicyKind;
 
 // Optional large/cold second tier. Disabled (tier2_capacity_bytes == 0) the
 // cache is the classic single-tier LRU structure.
@@ -115,10 +119,10 @@ struct ProxyCacheStats {
   std::uint64_t tier2_expired_cleaned = 0;  // reclaimed by cleanup (detail 4)
 };
 
-class ProxyCache : private eviction::EvictionHost {
+class ProxyCache {
  public:
   // `ids` names the entries; nullptr gives the cache a space of its own.
-  ProxyCache(std::uint64_t capacity_bytes, ReplacementPolicy policy,
+  ProxyCache(std::uint64_t capacity_bytes, eviction::EvictionPolicyKind policy,
              TierConfig tier = TierConfig{}, core::IdSpace* ids = nullptr);
 
   ProxyCache(const ProxyCache&) = delete;
@@ -177,8 +181,6 @@ class ProxyCache : private eviction::EvictionHost {
   std::size_t entry_count() const { return lru_.size + tier2_lru_.size; }
   std::size_t tier2_entry_count() const { return tier2_lru_.size; }
   const ProxyCacheStats& stats() const { return stats_; }
-  ReplacementPolicy policy_kind() const { return policy_->kind(); }
-  const TierConfig& tier_config() const { return tier_; }
   // The space the entries are named in (names of evicted entries stay).
   const core::IdSpace& ids() const { return *ids_; }
 
@@ -249,19 +251,28 @@ class ProxyCache : private eviction::EvictionHost {
     unsigned shift_ = 64;          // 64 - log2(buckets_.size())
   };
 
-  // EvictionHost — the policy's window into the indexes.
-  Key LruTailKey() const override;
-  eviction::ExpiryHeap& TtlHeap() override { return ttl_heap_; }
-  bool TtlRecordLive(Key key, std::uint64_t stamp) const override;
-  void NoteTtlRecordConsumed(Key key) override;
-  bool InEvictableTier(Key key) const override;
+  // One GreedyDual-Size credit: H and its order (a monotone counter of
+  // credits, so equal H evicts the older credit — the TTL heap's
+  // older-stamp convention). A record is live while its slot's current
+  // credit order is still `order`.
+  struct GdsRecord {
+    double h = 0.0;
+    std::uint64_t order = 0;
+    NodeId node = kNil;
+  };
+  static constexpr std::uint64_t kNoCredit = ~std::uint64_t{0};
+  // Min-heap order for GdsRecords: the smallest credit on top, equal
+  // credits to the older order.
+  static bool CreditAbove(const GdsRecord& a, const GdsRecord& b);
+
+  struct Victim {
+    NodeId node = kNil;
+    // The expired-first rule chose it (kEviction trace detail 1).
+    bool expired_rule = false;
+  };
 
   static Key KeyOf(const CacheEntry& entry) {
     return core::PackSiteDoc(entry.site, entry.doc);
-  }
-  static eviction::EntryView ViewOf(const CacheEntry& entry) {
-    return eviction::EntryView{KeyOf(entry), entry.size_bytes,
-                               entry.ttl_expires, entry.heap_stamp_};
   }
   List& ListOf(const CacheEntry& entry) {
     return entry.tier2_ ? tier2_lru_ : lru_;
@@ -277,9 +288,17 @@ class ProxyCache : private eviction::EvictionHost {
   // Places `entry` in a free node at the front of its tier's list, enters
   // it into the index and its doc's site list, and arms its TTL record.
   NodeId Place(CacheEntry entry);
+  // Chooses the next tier-1 victim by `policy_`. Only called with at least
+  // one resident tier-1 entry.
+  Victim PickVictim(Time now);
   // Frees tier-1 space for one entry: the policy's victim is demoted into
   // tier 2 when it fits (and is not already expired), evicted otherwise.
   void DisplaceOne(Time now);
+  // GreedyDual-Size bookkeeping, called only under kGds: a tier-1 insert,
+  // hit or promotion credits the slot H = L + 1/size; leaving tier 1
+  // (removal or demotion) retires its credit.
+  void CreditGds(NodeId node);
+  void RetireGdsCredit(NodeId node) { gds_credit_order_[node] = kNoCredit; }
   void EvictEntry(NodeId node, Time now, bool expired_rule);
   void EvictTier2Tail(Time now);
   void InsertIntoTier2(CacheEntry entry, Time now);
@@ -292,7 +311,7 @@ class ProxyCache : private eviction::EvictionHost {
 
   std::uint64_t capacity_bytes_;
   TierConfig tier_;
-  std::unique_ptr<eviction::EvictionPolicy> policy_;
+  eviction::EvictionPolicyKind policy_;
   std::uint64_t bytes_used_ = 0;        // tier 1
   std::uint64_t tier2_bytes_used_ = 0;  // tier 2
   std::uint64_t next_stamp_ = 1;
@@ -309,6 +328,14 @@ class ProxyCache : private eviction::EvictionHost {
   // Indexed by doc id: the nodes holding a copy, in insertion order.
   std::vector<DocSites> sites_of_doc_;
   eviction::ExpiryHeap ttl_heap_;
+  // GreedyDual-Size state (empty under the other policies): per slot, the
+  // order of its live credit (kNoCredit outside tier 1), parallel to
+  // links_; a lazy-deletion min-heap of credits by (h, order); and the
+  // inflation offset L, raised to each victim's H.
+  std::vector<std::uint64_t> gds_credit_order_;
+  std::vector<GdsRecord> gds_heap_;
+  std::uint64_t gds_next_order_ = 0;
+  double gds_inflation_ = 0.0;
   ProxyCacheStats stats_;
   obs::TraceSink* trace_sink_ = nullptr;
 };

@@ -1,6 +1,6 @@
 // Fixture pair of naked_evict_violation.cc: the same pressure resolved by
-// handing the entry to the proxy cache, whose eviction kernel chooses every
-// victim. No budget-balancing erase loop, so no naked-evict finding.
+// handing the entry to the proxy cache, which chooses every victim itself.
+// No budget-balancing erase loop, so no naked-evict finding.
 #include <string>
 
 struct ProxyCacheFacade {

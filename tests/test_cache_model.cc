@@ -24,10 +24,12 @@
 namespace webcc::http {
 namespace {
 
+using eviction::EvictionPolicyKind;
+
 // The reference: exact semantics, no cleverness.
 class ReferenceCache {
  public:
-  ReferenceCache(std::uint64_t capacity, ReplacementPolicy policy,
+  ReferenceCache(std::uint64_t capacity, EvictionPolicyKind policy,
                  TierConfig tier = TierConfig{})
       : capacity_(capacity), policy_(policy), tier_(tier) {}
 
@@ -57,7 +59,7 @@ class ReferenceCache {
     for (std::size_t i = 0; i < tier1_.size(); ++i) {
       if (tier1_[i].key != key) continue;
       MoveToFront(tier1_, i);
-      if (policy_ == ReplacementPolicy::kGds) GdsCredit(tier1_.front());
+      if (policy_ == EvictionPolicyKind::kGds) GdsCredit(tier1_.front());
       return &tier1_.front();
     }
     for (std::size_t i = 0; i < tier2_.size(); ++i) {
@@ -94,7 +96,7 @@ class ReferenceCache {
     entry.stamp = next_stamp_++;
     bytes1_ += entry.size;
     tier1_.insert(tier1_.begin(), std::move(entry));
-    if (policy_ == ReplacementPolicy::kGds) GdsCredit(tier1_.front());
+    if (policy_ == EvictionPolicyKind::kGds) GdsCredit(tier1_.front());
     if (tier_.enabled()) {
       // Same expression as ProxyCache::DemotionWatermark, double for double.
       const auto watermark = static_cast<std::uint64_t>(
@@ -155,7 +157,7 @@ class ReferenceCache {
   };
 
   Victim PickVictim(Time now) {
-    if (policy_ == ReplacementPolicy::kExpiredFirstLru) {
+    if (policy_ == EvictionPolicyKind::kExpiredFirstLru) {
       // The production TTL heap is shared across tiers and pops by
       // (expiry, stamp); if the globally-earliest expired record belongs
       // to a tier-2 entry the policy falls back to the LRU tail.
@@ -182,7 +184,7 @@ class ReferenceCache {
       if (found && in_tier1) return {index, true};
       return {tier1_.size() - 1, false};
     }
-    if (policy_ == ReplacementPolicy::kGds) {
+    if (policy_ == EvictionPolicyKind::kGds) {
       std::size_t index = 0;
       for (std::size_t i = 1; i < tier1_.size(); ++i) {
         const Entry& best = tier1_[index];
@@ -242,7 +244,7 @@ class ReferenceCache {
     entry.hits = 0;
     bytes1_ += entry.size;
     tier1_.insert(tier1_.begin(), std::move(entry));
-    if (policy_ == ReplacementPolicy::kGds) GdsCredit(tier1_.front());
+    if (policy_ == EvictionPolicyKind::kGds) GdsCredit(tier1_.front());
     ++stats_.tier2_promotions;
     while (bytes1_ > capacity_ && tier1_.size() > 1) DisplaceOne(now);
     return &tier1_.front();
@@ -262,7 +264,7 @@ class ReferenceCache {
   }
 
   std::uint64_t capacity_;
-  ReplacementPolicy policy_;
+  EvictionPolicyKind policy_;
   TierConfig tier_;
   std::uint64_t bytes1_ = 0;
   std::uint64_t bytes2_ = 0;
@@ -286,7 +288,7 @@ CacheEntry MakeEntry(int doc, int owner, std::uint64_t size, Time ttl) {
 }
 
 struct ModelParams {
-  ReplacementPolicy policy;
+  EvictionPolicyKind policy;
   bool tiered;
   std::uint64_t seed;
 };
@@ -397,9 +399,9 @@ TEST_P(CacheModelTest, RandomOperationsStayInLockstep) {
 std::vector<ModelParams> Sweep() {
   std::vector<ModelParams> params;
   std::uint64_t seed = 1;
-  for (const ReplacementPolicy policy :
-       {ReplacementPolicy::kLru, ReplacementPolicy::kExpiredFirstLru,
-        ReplacementPolicy::kGds}) {
+  for (const EvictionPolicyKind policy :
+       {EvictionPolicyKind::kLru, EvictionPolicyKind::kExpiredFirstLru,
+        EvictionPolicyKind::kGds}) {
     for (const bool tiered : {false, true}) {
       for (int i = 0; i < 3; ++i) {
         params.push_back(ModelParams{policy, tiered, seed++});
@@ -412,13 +414,13 @@ std::vector<ModelParams> Sweep() {
 std::string SweepName(const ::testing::TestParamInfo<ModelParams>& info) {
   std::string name;
   switch (info.param.policy) {
-    case ReplacementPolicy::kLru:
+    case EvictionPolicyKind::kLru:
       name = "Lru";
       break;
-    case ReplacementPolicy::kExpiredFirstLru:
+    case EvictionPolicyKind::kExpiredFirstLru:
       name = "ExpiredFirst";
       break;
-    case ReplacementPolicy::kGds:
+    case EvictionPolicyKind::kGds:
       name = "Gds";
       break;
   }

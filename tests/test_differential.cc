@@ -43,6 +43,7 @@ namespace {
 
 using core::LeaseMode;
 using core::Protocol;
+using http::eviction::EvictionPolicyKind;
 
 // --- normalized decision events ---------------------------------------------
 
@@ -81,7 +82,7 @@ std::string StripCallbackPort(std::string_view site) {
 
 // Records the protocol-decision subset of the event stream in arrival
 // order, plus cache evictions: given identical request sequences both
-// stacks must pick identical victims (the eviction kernel's decisions are
+// stacks must pick identical victims (the proxy cache's decisions are
 // clock-independent under the script's TTL configurations). Purely
 // timing-dependent types (stale-serve accounting, run framing, lease-expiry
 // pruning) stay excluded: they either exist in only one stack or depend on
@@ -137,7 +138,7 @@ std::uint32_t TestShards() {
 struct Combo {
   Protocol protocol;
   LeaseMode lease;
-  http::ReplacementPolicy policy = http::ReplacementPolicy::kExpiredFirstLru;
+  EvictionPolicyKind policy = EvictionPolicyKind::kExpiredFirstLru;
   // 0 keeps each stack's roomy default (no eviction pressure); the
   // eviction combos shrink it below kSizeA + kSizeB so every policy has
   // victims to choose.
@@ -399,10 +400,9 @@ std::vector<Combo> AllCombos() {
   // victim, and both stacks must displace the same one (kEviction events
   // are part of the compared stream).
   for (const Protocol protocol : kAllProtocols) {
-    for (const http::ReplacementPolicy policy :
-         {http::ReplacementPolicy::kLru,
-          http::ReplacementPolicy::kExpiredFirstLru,
-          http::ReplacementPolicy::kGds}) {
+    for (const EvictionPolicyKind policy :
+         {EvictionPolicyKind::kLru, EvictionPolicyKind::kExpiredFirstLru,
+          EvictionPolicyKind::kGds}) {
       for (const bool tiered : {false, true}) {
         Combo combo{protocol, LeaseMode::kNone};
         combo.policy = policy;

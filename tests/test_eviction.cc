@@ -1,12 +1,14 @@
-// The eviction kernel's contract: policies pick the documented victims with
-// deterministic tie-breaks, the TTL expiry heap stays bounded under renewal
-// churn (the PR 8 stale-record leak), oversize inserts are counted and
-// traced, and the optional second tier preserves every consistency-facing
-// semantic (TakeExpired, EraseByUrl, MarkAllQuestionable) across both
-// tiers. The randomized cross-check against a model cache lives in
-// test_cache_model.cc; these are the targeted unit cases.
+// The proxy cache's eviction contract: each policy picks the documented
+// victims with deterministic tie-breaks, the TTL expiry heap stays bounded
+// under renewal churn (the stale-record leak), oversize inserts are counted
+// and traced, and the optional second tier preserves every
+// consistency-facing semantic (TakeExpired, EraseByUrl,
+// MarkAllQuestionable) across both tiers. The randomized cross-check
+// against a model cache lives in test_cache_model.cc; these are the
+// targeted unit cases.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -358,20 +360,63 @@ TEST(TieredCacheTest, DisabledTierMatchesSingleTierCache) {
             tiered.stats().expired_evictions);
 }
 
-TEST(ProxyCacheMetricsTest, ExportsPolicyAndTierCounters) {
-  ProxyCache cache(10000, EvictionPolicyKind::kGds, SmallTier());
-  cache.Insert(MakeEntry("/a", 4000, kNeverExpires), 0);
-  cache.Insert(MakeEntry("/b", 4000, kNeverExpires), 1);
+class ProxyCacheMetricsTest
+    : public ::testing::TestWithParam<EvictionPolicyKind> {};
+
+TEST_P(ProxyCacheMetricsTest, ExportsPolicyAndTierCounters) {
+  // A tier 2 that holds one 2000-byte entry: 2000-byte victims demote,
+  // 4000-byte victims are evicted, and demotions overflow tier 2. Half the
+  // entries carry a TTL that lapses by the next insert, so the expired-first
+  // rule has victims too.
+  TierConfig tier = SmallTier();
+  tier.tier2_capacity_bytes = 3000;
+  ProxyCache cache(10000, GetParam(), tier);
+  for (int i = 0; i < 60; ++i) {
+    const Time ttl = (i % 2 == 0) ? Time(i + 1) : kNeverExpires;
+    cache.Insert(MakeEntry("/d" + std::to_string(i % 13),
+                           (i % 3 == 0) ? 2000 : 4000, ttl),
+                 i);
+    cache.Lookup(ComposeCacheKey("/d" + std::to_string(i % 5), "c"), i);
+  }
+  const ProxyCacheStats& stats = cache.stats();
+  const std::uint64_t tier1_evictions =
+      stats.evictions - stats.tier2_evictions;
+  ASSERT_GT(tier1_evictions, 0u);
+  ASSERT_GT(stats.tier2_demotions, 0u);
+  ASSERT_GT(stats.tier2_evictions, 0u);
+  if (GetParam() == EvictionPolicyKind::kExpiredFirstLru) {
+    ASSERT_GT(stats.expired_evictions, 0u);
+  }
+
   obs::MetricsRegistry registry;
   cache.ExportMetrics(registry, "c.");
-  EXPECT_EQ(registry.CounterValue("c.insertions"), 2u);
-  EXPECT_EQ(registry.CounterValue("c.tier2_demotions"),
-            cache.stats().tier2_demotions);
-  EXPECT_EQ(registry.CounterValue("c.policy_picks"),
-            cache.stats().tier2_demotions + cache.stats().evictions);
+  EXPECT_EQ(registry.CounterValue("c.insertions"), stats.insertions);
+  EXPECT_EQ(registry.CounterValue("c.tier2_demotions"), stats.tier2_demotions);
   EXPECT_EQ(registry.CounterValue("c.tier2_bytes_used"),
             cache.tier2_bytes_used());
+  // Every victim the policy picks is evicted from tier 1 or demoted.
+  EXPECT_EQ(registry.CounterValue("c.policy_picks"),
+            tier1_evictions + stats.tier2_demotions);
+  EXPECT_EQ(registry.CounterValue("c.policy_expired_picks"),
+            stats.expired_evictions);
+  std::ostringstream json;
+  registry.WriteJson(json);
+  const bool has_inflation =
+      json.str().find("\"c.gds_inflation\"") != std::string::npos;
+  EXPECT_EQ(has_inflation, GetParam() == EvictionPolicyKind::kGds);
+  if (has_inflation) EXPECT_GT(registry.GaugeValue("c.gds_inflation"), 0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, ProxyCacheMetricsTest,
+    ::testing::Values(EvictionPolicyKind::kLru,
+                      EvictionPolicyKind::kExpiredFirstLru,
+                      EvictionPolicyKind::kGds),
+    [](const ::testing::TestParamInfo<EvictionPolicyKind>& info) {
+      std::string name(eviction::ToString(info.param));
+      std::erase(name, '-');
+      return name;
+    });
 
 }  // namespace
 }  // namespace webcc::http

@@ -15,6 +15,8 @@
 namespace webcc::http {
 namespace {
 
+using eviction::EvictionPolicyKind;
+
 // --- DocumentStore ---------------------------------------------------------------
 
 // The store indexes documents by id; tests name them by path.
@@ -204,7 +206,7 @@ TEST(ProxyCache, NamesBoundedByDistinctUrlsAndOwnersNotPairs) {
   // cache must remember one name per distinct url and per distinct client —
   // not one composite key per pair ever cached — or its memory grows with
   // every pair even after the entries are evicted.
-  ProxyCache cache(10 * 100, ReplacementPolicy::kLru);  // ten entries fit
+  ProxyCache cache(10 * 100, EvictionPolicyKind::kLru);  // ten entries fit
   for (int u = 0; u < 100; ++u) {
     for (int c = 0; c < 100; ++c) {
       CacheEntry entry;
@@ -230,7 +232,7 @@ TEST(ProxyCache, NamesBoundedByDistinctUrlsAndOwnersNotPairs) {
 }
 
 TEST(ProxyCache, InsertAndLookup) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a", 100), 0);
   CacheEntry* entry = cache.Lookup(Key("/a"));
   ASSERT_NE(entry, nullptr);
@@ -240,12 +242,12 @@ TEST(ProxyCache, InsertAndLookup) {
 }
 
 TEST(ProxyCache, LookupMissingIsNull) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   EXPECT_EQ(cache.Lookup(Key("/nope")), nullptr);
 }
 
 TEST(ProxyCache, InsertReplacesExisting) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a", 100), 0);
   CacheEntry bigger = MakeEntry("/a", 300);
   bigger.version = 2;
@@ -256,7 +258,7 @@ TEST(ProxyCache, InsertReplacesExisting) {
 }
 
 TEST(ProxyCache, EvictsLruWhenFull) {
-  ProxyCache cache(300, ReplacementPolicy::kLru);
+  ProxyCache cache(300, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a", 100), 0);
   cache.Insert(MakeEntry("/b", 100), 0);
   cache.Insert(MakeEntry("/c", 100), 0);
@@ -270,7 +272,7 @@ TEST(ProxyCache, EvictsLruWhenFull) {
 }
 
 TEST(ProxyCache, PeekDoesNotPromote) {
-  ProxyCache cache(200, ReplacementPolicy::kLru);
+  ProxyCache cache(200, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a", 100), 0);
   cache.Insert(MakeEntry("/b", 100), 0);
   PeekKey(cache, Key("/a"));                       // must NOT promote /a
@@ -280,14 +282,14 @@ TEST(ProxyCache, PeekDoesNotPromote) {
 }
 
 TEST(ProxyCache, ObjectLargerThanCapacityNotCached) {
-  ProxyCache cache(100, ReplacementPolicy::kLru);
+  ProxyCache cache(100, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/big", 5000), 0);
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.bytes_used(), 0u);
 }
 
 TEST(ProxyCache, ExpiredFirstEvictsExpiredBeforeLru) {
-  ProxyCache cache(300, ReplacementPolicy::kExpiredFirstLru);
+  ProxyCache cache(300, EvictionPolicyKind::kExpiredFirstLru);
   cache.Insert(MakeEntry("/fresh", 100, /*ttl=*/1000), 0);
   cache.Insert(MakeEntry("/expired", 100, /*ttl=*/10), 0);
   cache.Insert(MakeEntry("/strong", 100), 0);
@@ -301,7 +303,7 @@ TEST(ProxyCache, ExpiredFirstEvictsExpiredBeforeLru) {
 }
 
 TEST(ProxyCache, ExpiredFirstFallsBackToLruWhenNoneExpired) {
-  ProxyCache cache(200, ReplacementPolicy::kExpiredFirstLru);
+  ProxyCache cache(200, EvictionPolicyKind::kExpiredFirstLru);
   cache.Insert(MakeEntry("/a", 100, /*ttl=*/100000), 0);
   cache.Insert(MakeEntry("/b", 100, /*ttl=*/100000), 0);
   cache.Insert(MakeEntry("/c", 100, /*ttl=*/100000), 50);
@@ -310,7 +312,7 @@ TEST(ProxyCache, ExpiredFirstFallsBackToLruWhenNoneExpired) {
 }
 
 TEST(ProxyCache, SetTtlExpiryReindexes) {
-  ProxyCache cache(200, ReplacementPolicy::kExpiredFirstLru);
+  ProxyCache cache(200, EvictionPolicyKind::kExpiredFirstLru);
   cache.Insert(MakeEntry("/a", 100, /*ttl=*/10), 0);
   CacheEntry* entry = cache.Lookup(Key("/a"));
   ASSERT_NE(entry, nullptr);
@@ -324,7 +326,7 @@ TEST(ProxyCache, SetTtlExpiryReindexes) {
 }
 
 TEST(ProxyCache, EraseRemoves) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a", 100), 0);
   EXPECT_TRUE(EraseKey(cache, Key("/a")));
   EXPECT_FALSE(EraseKey(cache, Key("/a")));
@@ -334,7 +336,7 @@ TEST(ProxyCache, EraseRemoves) {
 }
 
 TEST(ProxyCache, MarkAllQuestionable) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a", 100), 0);
   cache.Insert(MakeEntry("/b", 100), 0);
   cache.MarkAllQuestionable();
@@ -343,7 +345,7 @@ TEST(ProxyCache, MarkAllQuestionable) {
 }
 
 TEST(ProxyCache, MarkQuestionableWhereFilters) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a", 100, kNeverExpires, "alice"), 0);
   cache.Insert(MakeEntry("/a", 100, kNeverExpires, "bob"), 0);
   const std::size_t marked = cache.MarkQuestionableWhere(
@@ -360,7 +362,7 @@ TEST(ProxyCache, UnknownIdsMatchNothing) {
   // entries, or has had them all erased — in particular ~0 must never
   // match how the index marks an empty bucket.
   static constexpr core::InternId kNone = core::kNoInternId;
-  ProxyCache cache(100000, ReplacementPolicy::kLru);
+  ProxyCache cache(100000, EvictionPolicyKind::kLru);
   const auto probe = [&cache] {
     const std::size_t entries = cache.entry_count();
     const std::uint64_t erased = cache.stats().erased;
@@ -405,7 +407,7 @@ TEST(ProxyCache, Tier2HitEvictedByItsOwnPromotionIsAMiss) {
   tier.tier2_capacity_bytes = 10000;
   tier.promotion_hits = 1;
   tier.demotion_pressure = 1.0;
-  ProxyCache cache(1000, ReplacementPolicy::kExpiredFirstLru, tier);
+  ProxyCache cache(1000, EvictionPolicyKind::kExpiredFirstLru, tier);
   cache.Insert(MakeEntry("/a", 400, /*ttl_expires=*/100), 0);
   cache.Insert(MakeEntry("/b", 400), 1);
   cache.Insert(MakeEntry("/c", 400), 2);  // demotes /a, the LRU tail
@@ -426,14 +428,14 @@ TEST(ProxyCache, Tier2HitEvictedByItsOwnPromotionIsAMiss) {
 }
 
 TEST(ProxyCache, ZeroSizeEntriesAllowed) {
-  ProxyCache cache(100, ReplacementPolicy::kLru);
+  ProxyCache cache(100, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/empty", 0), 0);
   EXPECT_NE(PeekKey(cache, Key("/empty")), nullptr);
   EXPECT_EQ(cache.bytes_used(), 0u);
 }
 
 TEST(ProxyCache, ManyInsertionsStayWithinCapacity) {
-  ProxyCache cache(1000, ReplacementPolicy::kExpiredFirstLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kExpiredFirstLru);
   for (int i = 0; i < 500; ++i) {
     cache.Insert(MakeEntry("/doc" + std::to_string(i), 90,
                            /*ttl=*/i * 10),

@@ -129,8 +129,8 @@ TEST(LintCli, WheelPruneCounterpartIsClean) {
 
 TEST(LintCli, KernelBackedEvictCounterpartIsClean) {
   // The pair fixture of naked_evict_violation.cc: the same pressure routed
-  // through the proxy cache's eviction kernel produces no naked-evict
-  // finding.
+  // through the proxy cache, which picks its own victims, produces no
+  // naked-evict finding.
   const RunResult result = RunCli({FixturePath("naked_evict_clean.cc")});
   EXPECT_EQ(result.exit_code, 0) << result.out << result.err;
   EXPECT_TRUE(result.out.empty()) << result.out;
@@ -300,10 +300,10 @@ TEST(LintRules, NakedEvictFlagsBudgetEraseOutsideKernel) {
       "  }\n"
       "}\n";
   EXPECT_TRUE(HasRule(LintFile("src/replay/x.cc", text), "naked-evict"));
-  // The kernel and its host cache own the sanctioned loop.
+  // The proxy cache and its eviction state own the sanctioned loop.
   EXPECT_FALSE(HasRule(LintFile("src/http/proxy_cache.cc", text), "naked-evict"));
-  EXPECT_FALSE(
-      HasRule(LintFile("src/http/eviction/gds_policy.h", text), "naked-evict"));
+  EXPECT_FALSE(HasRule(LintFile("src/http/eviction/expiry_heap.h", text),
+                       "naked-evict"));
 }
 
 TEST(LintRules, NakedEvictIgnoresEraseWithoutBudgetContext) {

@@ -146,7 +146,7 @@ http::CacheEntry Entry(const std::string& url, const std::string& owner,
 }
 
 TEST(ProxyCachePiggyback, EraseByUrlRemovesAllOwners) {
-  http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(1000, http::eviction::EvictionPolicyKind::kLru);
   cache.Insert(Entry("/a", "alice", 100), 0);
   cache.Insert(Entry("/a", "bob", 100), 0);
   cache.Insert(Entry("/b", "alice", 100), 0);
@@ -157,7 +157,7 @@ TEST(ProxyCachePiggyback, EraseByUrlRemovesAllOwners) {
 }
 
 TEST(ProxyCachePiggyback, EraseByUrlAfterReplacement) {
-  http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(1000, http::eviction::EvictionPolicyKind::kLru);
   cache.Insert(Entry("/a", "alice", 100), 0);
   cache.Insert(Entry("/a", "alice", 200), 0);  // replace
   EXPECT_EQ(cache.EraseByUrl("/a"), 1u);
@@ -165,7 +165,7 @@ TEST(ProxyCachePiggyback, EraseByUrlAfterReplacement) {
 }
 
 TEST(ProxyCachePiggyback, TakeExpiredReturnsOnlyExpired) {
-  http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(1000, http::eviction::EvictionPolicyKind::kLru);
   cache.Insert(Entry("/old", "c", 10), 0);
   cache.Insert(Entry("/fresh", "c", 1000), 0);
   const auto expired = cache.TakeExpired(500, 10);
@@ -174,7 +174,7 @@ TEST(ProxyCachePiggyback, TakeExpiredReturnsOnlyExpired) {
 }
 
 TEST(ProxyCachePiggyback, TakeExpiredConsumesRecords) {
-  http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(1000, http::eviction::EvictionPolicyKind::kLru);
   cache.Insert(Entry("/a", "c", 10), 0);
   EXPECT_EQ(cache.TakeExpired(500, 10).size(), 1u);
   // Consumed: a second call finds nothing until re-armed.
@@ -186,7 +186,7 @@ TEST(ProxyCachePiggyback, TakeExpiredConsumesRecords) {
 }
 
 TEST(ProxyCachePiggyback, TakeExpiredHonoursCap) {
-  http::ProxyCache cache(10000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(10000, http::eviction::EvictionPolicyKind::kLru);
   for (int i = 0; i < 20; ++i) {
     cache.Insert(Entry("/d" + std::to_string(i), "c", i + 1), 0);
   }
@@ -195,7 +195,7 @@ TEST(ProxyCachePiggyback, TakeExpiredHonoursCap) {
 }
 
 TEST(ProxyCachePiggyback, TakeExpiredSkipsErasedEntries) {
-  http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(1000, http::eviction::EvictionPolicyKind::kLru);
   cache.Insert(Entry("/a", "c", 10), 0);
   cache.Insert(Entry("/b", "c", 20), 0);
   EraseKey(cache, http::ComposeCacheKey("/a", "c"));

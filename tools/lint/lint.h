@@ -36,7 +36,7 @@
 //                           wheel so pruning stays O(expired).
 //   naked-evict             no hand-rolled byte-budget eviction outside
 //                           src/http/eviction/ and the proxy cache — victim
-//                           choice belongs to the eviction kernel.
+//                           choice belongs to ProxyCache::PickVictim.
 //
 // Semantic passes (new in v2; findings carry witness chains):
 //

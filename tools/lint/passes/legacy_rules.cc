@@ -265,9 +265,8 @@ struct RuleScan {
     if (!NextIsCall(k) || !PrevIsMemberAccess(k)) return;
     if (Tok(k).line - last_budget_line <= 8) {
       Report(Tok(k).line, kNakedEvict,
-             "hand-rolled byte-budget eviction bypasses the eviction "
-             "kernel; route victim choice through http::ProxyCache and "
-             "src/http/eviction/");
+             "hand-rolled byte-budget eviction bypasses http::ProxyCache; "
+             "route victim choice through it");
     }
   }
 };
@@ -299,7 +298,7 @@ bool RuleAppliesToPath(std::string_view rule, std::string_view path) {
     return !ends_with("core/timer_wheel.h") && !ends_with("core/site_list.h");
   }
   if (rule == kNakedEvict) {
-    // The eviction kernel and its host cache own the sanctioned loop.
+    // The proxy cache and its eviction state own the sanctioned loop.
     return !PathContains(path, "http/eviction/") &&
            !ends_with("http/proxy_cache.cc") &&
            !ends_with("http/proxy_cache.h");

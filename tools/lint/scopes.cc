@@ -32,8 +32,7 @@ bool IsProtocolEnumType(std::string_view word) {
       "Protocol",  "LeaseMode",         "MessageType",
       "EventType", "FaultKind",         "HitAction",
       "WriteCompleteKind", "ServeKind", "IoError",
-      "TraceName", "ReplacementPolicy", "EvictionPolicyKind",
-      "Completion"};
+      "TraceName", "EvictionPolicyKind", "Completion"};
   return kTypes.count(word) != 0;
 }
 
